@@ -24,14 +24,14 @@ fn bench_cache_efficiency(c: &mut Criterion) {
                     b.iter(|| {
                         // Cost model `free` so wall time measures real
                         // proxy + origin compute, not simulated WAN time.
-                        let mut proxy = make_proxy(
+                        let proxy = make_proxy(
                             &exp.site,
                             scheme,
                             DescriptionKind::Array,
                             capacity,
                             CostModel::free(),
                         );
-                        rbe.run(&mut proxy, &exp.trace).expect("replay")
+                        rbe.run(&proxy, &exp.trace).expect("replay")
                     });
                 },
             );

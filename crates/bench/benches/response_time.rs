@@ -25,8 +25,8 @@ fn bench_response_time(c: &mut Criterion) {
     for (label, scheme, desc) in configs {
         group.bench_function(BenchmarkId::new("config", label), |b| {
             b.iter(|| {
-                let mut proxy = make_proxy(&exp.site, scheme, desc, capacity, CostModel::free());
-                rbe.run(&mut proxy, &exp.trace).expect("replay")
+                let proxy = make_proxy(&exp.site, scheme, desc, capacity, CostModel::free());
+                rbe.run(&proxy, &exp.trace).expect("replay")
             });
         });
     }

@@ -22,14 +22,14 @@ fn bench_schemes(c: &mut Criterion) {
     ] {
         group.bench_function(BenchmarkId::new("scheme", label), |b| {
             b.iter(|| {
-                let mut proxy = make_proxy(
+                let proxy = make_proxy(
                     &exp.site,
                     scheme,
                     DescriptionKind::Array,
                     None,
                     CostModel::free(),
                 );
-                rbe.run(&mut proxy, &exp.trace).expect("replay")
+                rbe.run(&proxy, &exp.trace).expect("replay")
             });
         });
     }

@@ -18,9 +18,7 @@ use fp_trace::{Rbe, Trace, TraceSpec};
 use funcproxy::cache::Replacement;
 use funcproxy::metrics::{Outcome, QueryMetrics, TraceReport};
 use funcproxy::template::TemplateManager;
-use funcproxy::{
-    CostModel, CountingOrigin, FunctionProxy, ProxyConfig, ProxyHandle, Scheme, SiteOrigin,
-};
+use funcproxy::{CostModel, CountingOrigin, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -76,10 +74,6 @@ pub struct AdaptiveCounters {
     pub adaptive_templates: usize,
     /// Requests served per scheme, in declaration order.
     pub scheme_serves: Vec<usize>,
-    /// Combined remainder round trips the overlap path issued.
-    pub remainder_batches: usize,
-    /// Remainder queries answered by those combined trips.
-    pub batched_remainders: usize,
 }
 
 /// One trace's section: all static schemes plus adaptive.
@@ -176,8 +170,6 @@ impl Experiment {
                 scheme_switches: snapshot.scheme_switches,
                 adaptive_templates: snapshot.adaptive_templates,
                 scheme_serves: snapshot.scheme_serves.to_vec(),
-                remainder_batches: snapshot.remainder_batches,
-                batched_remainders: snapshot.batched_remainders,
             },
             best_static: best_static.scheme,
             adaptive_matches_best_hit_rate,
@@ -188,15 +180,16 @@ impl Experiment {
 
     /// Per-query oracle row counts (no cache, free cost model).
     fn oracle_rows(&self, trace: &Trace) -> Vec<usize> {
-        let mut proxy = FunctionProxy::new(
+        let proxy = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(self.site.clone())),
             ProxyConfig::default()
                 .with_scheme(Scheme::NoCache)
                 .with_cost(CostModel::free()),
+            1,
         );
         Rbe::default()
-            .replay(&mut proxy, trace)
+            .replay(&proxy, trace, 1, false)
             .expect("oracle replays")
             .iter()
             .map(|m| m.rows_total)
@@ -231,7 +224,7 @@ impl Experiment {
             4,
         );
         let metrics = Rbe::default()
-            .replay_shared(&handle, trace, 1)
+            .replay(&handle, trace, 1, false)
             .expect("trace replays");
         let report = TraceReport::from_metrics(&metrics);
         let snapshot = handle.runtime_stats();
@@ -300,13 +293,8 @@ impl std::fmt::Display for AdaptiveBench {
             }
             writeln!(
                 f,
-                "    adaptive: {} switches over {} template(s), serves {:?}, \
-                 {} combined remainder trip(s) covering {} batched remainder(s)",
-                s.adaptive.scheme_switches,
-                s.adaptive.adaptive_templates,
-                s.adaptive.scheme_serves,
-                s.adaptive.remainder_batches,
-                s.adaptive.batched_remainders,
+                "    adaptive: {} switches over {} template(s), serves {:?}",
+                s.adaptive.scheme_switches, s.adaptive.adaptive_templates, s.adaptive.scheme_serves,
             )?;
             writeln!(
                 f,

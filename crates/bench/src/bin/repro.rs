@@ -11,6 +11,9 @@
 //!   compaction    §3.2 region-containment compaction ablation
 //!   replacement   extension: replacement-policy ablation at 1/6 cache size
 //!   coverage      extension: overlap coverage-threshold ablation
+//!                 (whenever table1, figure6, compaction, replacement and
+//!                 coverage all run, their deterministic columns — no
+//!                 response times — are written to BENCH_paper.json)
 //!   checktime     §4.2 cache-checking time, array vs R-tree
 //!   throughput    extension: multi-client qps/latency over the concurrent
 //!                 runtime, sweeping client counts up to --threads (default 8),
@@ -40,7 +43,9 @@
 //!   all           everything above
 //! ```
 
-use fp_bench::{conn_sweep, fleet_sweep, thread_sweep, Experiment, Scale, SEED_CORPUS};
+use fp_bench::{
+    conn_sweep, fleet_sweep, thread_sweep, Experiment, PaperBench, Provenance, Scale, SEED_CORPUS,
+};
 use std::time::Duration;
 
 fn main() {
@@ -110,9 +115,17 @@ fn main() {
             );
         }
     }
+    // The paper's deterministic columns are pinned in BENCH_paper.json;
+    // it is written when the five experiments it covers all ran.
+    let mut table1 = None;
+    let mut figure6 = None;
+    let mut compaction = None;
+    let mut replacement = None;
+    let mut coverage = None;
     if want("table1") {
         let t = exp.table1();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
+        table1 = Some(t);
     }
     if want("figure5") {
         let t = exp.figure5();
@@ -121,18 +134,32 @@ fn main() {
     if want("figure6") {
         let t = exp.figure6();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
+        figure6 = Some(t);
     }
     if want("compaction") {
         let t = exp.compaction();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
+        compaction = Some(t);
     }
     if want("replacement") {
         let t = exp.replacement();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
+        replacement = Some(t);
     }
     if want("coverage") {
         let t = exp.coverage();
         print_block(json, &t, &serde_json::to_string(&t).expect("serializes"));
+        coverage = Some(t);
+    }
+    if let (Some(t1), Some(f6), Some(comp), Some(rep), Some(cov)) =
+        (&table1, &figure6, &compaction, &replacement, &coverage)
+    {
+        let bench = PaperBench::new(Provenance::of(scale), t1, f6, comp, rep, cov);
+        let path = "BENCH_paper.json";
+        match std::fs::write(path, serde_json::to_string(&bench).expect("serializes")) {
+            Ok(()) => eprintln!("# wrote {path}"),
+            Err(e) => eprintln!("# could not write {path}: {e}"),
+        }
     }
     if want("checktime") {
         let t = exp.checktime();

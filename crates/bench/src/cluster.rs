@@ -208,10 +208,10 @@ impl Experiment {
 
     /// Oracle pass: the objID set every query answers when nothing is
     /// cached and nothing fails, keyed by query string (the trace
-    /// repeats queries). Shared with the torture harness.
+    /// repeats queries). Shared with the chaos and torture harnesses.
     pub(crate) fn oracle_object_ids(&self) -> HashMap<String, Vec<fp_sqlmini::Value>> {
         let rbe = Rbe::default();
-        let mut oracle = crate::make_proxy(
+        let oracle = crate::make_proxy(
             &self.site,
             Scheme::NoCache,
             DescriptionKind::Array,

@@ -60,7 +60,7 @@ use fp_trace::{classify_trace, Rbe, Trace, TraceMix, TraceSpec};
 use funcproxy::cache::{DescriptionKind, Replacement};
 use funcproxy::metrics::TraceReport;
 use funcproxy::template::TemplateManager;
-use funcproxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use funcproxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -138,7 +138,7 @@ impl Experiment {
         // cached file, mirroring "nearly 300MB XML files" for 11k queries.
         let mut seen = std::collections::HashSet::new();
         let mut total = 0usize;
-        let mut proxy = make_proxy(
+        let proxy = make_proxy(
             &site,
             Scheme::NoCache,
             DescriptionKind::Array,
@@ -176,9 +176,9 @@ impl Experiment {
         description: DescriptionKind,
         capacity: Option<usize>,
     ) -> TraceReport {
-        let mut proxy = make_proxy(&self.site, scheme, description, capacity, self.cost);
+        let proxy = make_proxy(&self.site, scheme, description, capacity, self.cost);
         Rbe::default()
-            .run(&mut proxy, &self.trace)
+            .run(&proxy, &self.trace)
             .expect("trace replays")
     }
 
@@ -260,9 +260,8 @@ impl Experiment {
         let rows = Replacement::all()
             .iter()
             .map(|&policy| {
-                let mut proxy = FunctionProxy::new(
-                    TemplateManager::with_sky_defaults(),
-                    Arc::new(SiteOrigin::new(self.site.clone())),
+                let proxy = experiment_proxy(
+                    &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
                         .with_capacity(cap)
@@ -270,7 +269,7 @@ impl Experiment {
                         .with_replacement(policy),
                 );
                 let report = Rbe::default()
-                    .run(&mut proxy, &self.trace)
+                    .run(&proxy, &self.trace)
                     .expect("trace replays");
                 let stats = proxy.cache_stats();
                 ReplacementRow {
@@ -301,16 +300,15 @@ impl Experiment {
     pub fn coverage(&self) -> CoverageAblation {
         let rows = [0.0, 0.25, 0.5, 0.75, 1.01]
             .map(|threshold| {
-                let mut proxy = FunctionProxy::new(
-                    TemplateManager::with_sky_defaults(),
-                    Arc::new(SiteOrigin::new(self.site.clone())),
+                let proxy = experiment_proxy(
+                    &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
                         .with_cost(self.cost)
                         .with_min_overlap_coverage(threshold),
                 );
                 let report = Rbe::default()
-                    .run(&mut proxy, &self.trace)
+                    .run(&proxy, &self.trace)
                     .expect("trace replays");
                 CoverageRow {
                     threshold,
@@ -328,9 +326,9 @@ impl Experiment {
     /// that region containment "reduces the number of cached queries".
     pub fn compaction(&self) -> Compaction {
         let run = |scheme| {
-            let mut proxy = make_proxy(&self.site, scheme, DescriptionKind::Array, None, self.cost);
+            let proxy = make_proxy(&self.site, scheme, DescriptionKind::Array, None, self.cost);
             Rbe::default()
-                .run(&mut proxy, &self.trace)
+                .run(&proxy, &self.trace)
                 .expect("trace replays");
             proxy.cache_stats()
         };
@@ -351,15 +349,26 @@ pub fn make_proxy(
     description: DescriptionKind,
     capacity: Option<usize>,
     cost: CostModel,
-) -> FunctionProxy {
-    FunctionProxy::new(
-        TemplateManager::with_sky_defaults(),
-        Arc::new(SiteOrigin::new(site.clone())),
+) -> ProxyHandle {
+    experiment_proxy(
+        site,
         ProxyConfig::default()
             .with_scheme(scheme)
             .with_description(description)
             .with_capacity(capacity)
             .with_cost(cost),
+    )
+}
+
+/// The proxy every paper experiment runs on: one cache shard, so the
+/// configured capacity is a single budget and one cache description
+/// sees every entry, exactly as in the paper's single-servlet proxy.
+fn experiment_proxy(site: &SkySite, config: ProxyConfig) -> ProxyHandle {
+    ProxyHandle::with_shards(
+        TemplateManager::with_sky_defaults(),
+        Arc::new(SiteOrigin::new(site.clone())),
+        config,
+        1,
     )
 }
 
@@ -608,6 +617,95 @@ impl std::fmt::Display for Compaction {
             "  Third  (without compaction): {} entries at end of trace",
             self.entries_without
         )
+    }
+}
+
+/// Where and at what scale a committed bench row was produced.
+#[derive(Debug, Clone, Serialize)]
+pub struct Provenance {
+    /// Git commit of the tree that ran, or `"unknown"` outside a checkout.
+    pub sha: String,
+    /// Catalog object count.
+    pub objects: usize,
+    /// Trace length.
+    pub queries: usize,
+    /// Catalog and trace seed.
+    pub seed: u64,
+}
+
+impl Provenance {
+    /// Provenance of a run at `scale` from the current checkout.
+    pub fn of(scale: Scale) -> Provenance {
+        let sha = std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+        Provenance {
+            sha,
+            objects: scale.objects,
+            queries: scale.queries,
+            seed: scale.seed,
+        }
+    }
+}
+
+/// The deterministic columns of the paper's tables and their ablations —
+/// everything but response times, which carry measured wall time. Written
+/// as `BENCH_paper.json`; a rerun at the same scale must reproduce it
+/// exactly.
+#[derive(Debug, Clone, Serialize)]
+pub struct PaperBench {
+    /// Commit and scale of the run.
+    pub provenance: Provenance,
+    /// Table 1: `[cache size, AC, PC]` per cache size.
+    pub table1: Vec<(&'static str, f64, f64)>,
+    /// Figure 6: `[scheme, efficiency]` per active scheme.
+    pub figure6: Vec<(&'static str, f64)>,
+    /// Compaction ablation entry counts.
+    pub compaction: Compaction,
+    /// Replacement ablation: `[policy, efficiency, evictions]`.
+    pub replacement: Vec<(String, f64, usize)>,
+    /// Coverage ablation: `[threshold, efficiency, overlap answers]`.
+    pub coverage: Vec<(f64, f64, usize)>,
+}
+
+impl PaperBench {
+    /// Collects the pinned columns from the five experiments' outputs.
+    pub fn new(
+        provenance: Provenance,
+        table1: &Table1,
+        figure6: &Figure6,
+        compaction: &Compaction,
+        replacement: &ReplacementAblation,
+        coverage: &CoverageAblation,
+    ) -> PaperBench {
+        PaperBench {
+            provenance,
+            table1: table1
+                .rows
+                .iter()
+                .map(|r| (r.cache_size, r.ac, r.pc))
+                .collect(),
+            figure6: figure6
+                .rows
+                .iter()
+                .map(|r| (r.scheme, r.efficiency))
+                .collect(),
+            compaction: compaction.clone(),
+            replacement: replacement
+                .rows
+                .iter()
+                .map(|r| (r.policy.clone(), r.efficiency, r.evictions))
+                .collect(),
+            coverage: coverage
+                .rows
+                .iter()
+                .map(|r| (r.threshold, r.efficiency, r.overlap_answers))
+                .collect(),
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 //! The paper evaluates the proxy with one emulated browser at a time; a
 //! deployed proxy fronts many. This harness replays the calibrated Radial
 //! trace through one shared [`ProxyHandle`] from `K` client threads
-//! (round-robin deal, see `Rbe::replay_shared`) and measures what the
+//! (round-robin deal, see `Rbe::replay`) and measures what the
 //! single-threaded replay cannot: queries per second, the wall-clock
 //! latency distribution at the proxy, and how many origin round trips the
 //! single-flight coalescer eliminated.
@@ -311,7 +311,7 @@ fn run_once(
 
     let start = Instant::now();
     let metrics = Rbe::default()
-        .replay_shared(&handle, trace, threads)
+        .replay(&handle, trace, threads, false)
         .expect("trace replays");
     let elapsed = start.elapsed();
 

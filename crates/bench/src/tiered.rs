@@ -143,7 +143,7 @@ impl Experiment {
         // splice it straight out of the mmap — so the sweep measures the
         // zero-copy serve latencies, not the tuple-materializing row path.
         let metrics = Rbe::default()
-            .replay_shared_xml(&handle, &self.trace, threads)
+            .replay(&handle, &self.trace, threads, true)
             .expect("trace replays");
         handle.quiesce_revalidations();
         let stats = handle.cache_stats();

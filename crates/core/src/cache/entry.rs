@@ -55,11 +55,17 @@ pub struct CacheEntry {
     pub expires_at: Option<Instant>,
 }
 
+/// The one definition of an entry's charged size: its result's XML size
+/// plus the columnar form's heap (SoA columns, micro-index, row slab).
+pub(crate) fn charged_bytes(bytes: usize, columnar: Option<&ColumnarRows>) -> usize {
+    bytes + columnar.map_or(0, ColumnarRows::heap_bytes)
+}
+
 impl CacheEntry {
     /// Bytes charged against the cache capacity: the XML size plus the
-    /// columnar form's heap (SoA columns, micro-index, row slab).
+    /// columnar form's heap (the store charges through the same function).
     pub fn footprint(&self) -> usize {
-        self.bytes + self.columnar.as_ref().map_or(0, |c| c.heap_bytes())
+        charged_bytes(self.bytes, self.columnar.as_deref())
     }
 
     /// Indexes of the coordinate columns inside the result, in region

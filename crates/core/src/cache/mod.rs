@@ -11,7 +11,7 @@ mod tier;
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
 pub use entry::CacheEntry;
 pub(crate) use persist::{entry_from_xml, entry_to_xml};
-pub use persist::{region_from_xml, region_to_xml, SnapshotLoad};
+pub use persist::{region_from_xml, region_to_xml};
 pub use profit::{ProfitEstimate, ProfitModel, ProfitParams};
 pub use replace::Replacement;
 pub use store::{CacheStats, CacheStore, ClassifyView};

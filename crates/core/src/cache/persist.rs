@@ -1,108 +1,20 @@
-//! Cache persistence: the paper's proxy keeps its cached results as XML
-//! files on disk ("Query Result Files" in its Figure 4 architecture) so
-//! the cache survives servlet restarts. This module provides the same
-//! durability: a snapshot writes every entry as one self-describing XML
-//! document, and a load rebuilds the store — including the cache
-//! descriptions — from those files.
+//! Cache entries as self-describing XML documents: the paper's proxy
+//! keeps its cached results as XML files on disk ("Query Result Files"
+//! in its Figure 4 architecture) so the cache survives servlet restarts.
+//! Here each document is one segment of a lifecycle snapshot
+//! (`shard_<i>.fpsnap`, written by `ProxyHandle::snapshot_now` and
+//! replayed when a handle is rebuilt over the same directory).
 //!
 //! Floating-point fidelity matters here (regions are compared with tight
 //! tolerances), so numbers are written with Rust's shortest-roundtrip
 //! formatting and parsed back exactly.
 
 use crate::cache::entry::CacheEntry;
-use crate::cache::store::CacheStore;
 use crate::lifecycle::LifecycleStamp;
 use fp_geometry::{HalfSpace, HyperRect, HyperSphere, Point, Polytope, Region};
 use fp_skyserver::ResultSet;
 use fp_xmlite::Element;
-use std::io;
-use std::path::Path;
 use std::time::Instant;
-
-impl CacheStore {
-    /// Writes every cached entry to `dir` (created if absent) as
-    /// `entry_<id>.xml`. Pre-existing entry files in the directory are
-    /// removed first so the snapshot is exact.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save_snapshot(&self, dir: &Path) -> io::Result<usize> {
-        std::fs::create_dir_all(dir)?;
-        for existing in std::fs::read_dir(dir)? {
-            let path = existing?.path();
-            let is_entry = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("entry_") && n.ends_with(".xml"));
-            if is_entry {
-                std::fs::remove_file(path)?;
-            }
-        }
-        let now = self.now();
-        let mut written = 0;
-        for entry in self.iter_entries() {
-            let doc = entry_to_xml(entry, now);
-            std::fs::write(
-                dir.join(format!("entry_{}.xml", entry.id)),
-                doc.to_xml_pretty(),
-            )?;
-            written += 1;
-        }
-        Ok(written)
-    }
-
-    /// Loads every `entry_*.xml` in `dir` into this store (on top of its
-    /// current contents; typically called on an empty store). Unreadable
-    /// or malformed files are skipped and reported in the error count —
-    /// a proxy should come up with a partial cache rather than not at all.
-    ///
-    /// # Errors
-    /// Propagates the directory-listing error only.
-    pub fn load_snapshot(&mut self, dir: &Path) -> io::Result<SnapshotLoad> {
-        let mut load = SnapshotLoad::default();
-        for file in std::fs::read_dir(dir)? {
-            let path = file?.path();
-            let is_entry = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("entry_") && n.ends_with(".xml"));
-            if !is_entry {
-                continue;
-            }
-            let parsed = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Element::parse(&text).ok())
-                .and_then(|doc| entry_from_xml(&doc));
-            match parsed {
-                Some(((residual_key, region, result, truncated, sql, coord_idx), stamp)) => {
-                    let restored = self.insert_restored(
-                        &residual_key,
-                        region,
-                        result,
-                        truncated,
-                        &sql,
-                        &coord_idx,
-                        &stamp,
-                    );
-                    if restored.is_some() {
-                        load.loaded += 1;
-                    }
-                }
-                None => load.skipped += 1,
-            }
-        }
-        Ok(load)
-    }
-}
-
-/// Outcome of a snapshot load.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotLoad {
-    /// Entries restored.
-    pub loaded: usize,
-    /// Files present but unreadable/malformed (skipped).
-    pub skipped: usize,
-}
 
 /// Serializes one entry as a self-describing XML document. When `now`
 /// is given (a clocked store), the entry's lifecycle stamp rides along
@@ -267,7 +179,7 @@ pub fn region_from_xml(el: &Element) -> Option<Region> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::DescriptionKind;
+    use crate::cache::{CacheStore, DescriptionKind};
     use fp_sqlmini::Value;
 
     fn sample_regions() -> Vec<Region> {
@@ -293,11 +205,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_roundtrips_a_store() {
-        let dir = std::env::temp_dir().join(format!("fp_snap_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Round-trips every entry of `store` through its XML document as
+    /// text — the way a snapshot segment travels — into `into`. Returns
+    /// how many documents failed to parse.
+    fn reload(store: &CacheStore, into: &mut CacheStore, extra: &[&str]) -> usize {
+        let docs: Vec<String> = store
+            .iter_entries()
+            .map(|e| entry_to_xml(e, store.now()).to_xml_pretty())
+            .chain(extra.iter().map(|s| s.to_string()))
+            .collect();
+        let mut skipped = 0;
+        for text in docs {
+            match Element::parse(&text).ok().and_then(|d| entry_from_xml(&d)) {
+                Some(((key, region, result, truncated, sql, coord_idx), stamp)) => {
+                    into.insert_restored(&key, region, result, truncated, &sql, &coord_idx, &stamp);
+                }
+                None => skipped += 1,
+            }
+        }
+        skipped
+    }
 
+    #[test]
+    fn entry_documents_rebuild_a_store() {
         let mut store = CacheStore::new(DescriptionKind::Array, None);
         let rs = ResultSet {
             columns: vec!["objID".into(), "cx".into()],
@@ -318,13 +248,9 @@ mod tests {
                 &[],
             );
         }
-        let written = store.save_snapshot(&dir).unwrap();
-        assert_eq!(written, 3);
 
         let mut restored = CacheStore::new(DescriptionKind::RTree, None);
-        let load = restored.load_snapshot(&dir).unwrap();
-        assert_eq!(load.loaded, 3);
-        assert_eq!(load.skipped, 0);
+        assert_eq!(reload(&store, &mut restored, &[]), 0);
         assert_eq!(restored.stats().entries, 3);
 
         // Exact-match map, regions, truncation flags, and results survive.
@@ -337,20 +263,14 @@ mod tests {
         let probe = sample_regions()[1].clone();
         assert_eq!(restored.candidates("group1", &probe).len(), 1);
 
-        // Malformed files are skipped, not fatal.
-        std::fs::write(dir.join("entry_999.xml"), "<wat>").unwrap();
+        // Malformed documents are skipped, not fatal.
         let mut again = CacheStore::new(DescriptionKind::Array, None);
-        let load = again.load_snapshot(&dir).unwrap();
-        assert_eq!(load.loaded, 3);
-        assert_eq!(load.skipped, 1);
-
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reload(&store, &mut again, &["<wat>"]), 1);
+        assert_eq!(again.stats().entries, 3);
     }
 
     #[test]
     fn columnar_form_survives_reload() {
-        let dir = std::env::temp_dir().join(format!("fp_snap3_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let mut store = CacheStore::new(DescriptionKind::Array, None);
         let rs = ResultSet {
             columns: vec!["objID".into(), "cx".into(), "cy".into()],
@@ -371,45 +291,13 @@ mod tests {
         let before = store.peek(id).unwrap();
         assert!(before.columnar.is_some());
         let footprint = before.footprint();
-        store.save_snapshot(&dir).unwrap();
 
         let mut restored = CacheStore::new(DescriptionKind::Array, None);
-        assert_eq!(restored.load_snapshot(&dir).unwrap().loaded, 1);
+        assert_eq!(reload(&store, &mut restored, &[]), 0);
         let rid = restored.lookup_exact("Q").unwrap();
         let entry = restored.peek(rid).unwrap();
         let col = entry.columnar.as_ref().expect("columnar rebuilt on load");
         assert_eq!(col.coord_idx(), &[1, 2]);
         assert_eq!(entry.footprint(), footprint);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn save_replaces_stale_entry_files() {
-        let dir = std::env::temp_dir().join(format!("fp_snap2_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut store = CacheStore::new(DescriptionKind::Array, None);
-        let rs = ResultSet {
-            columns: vec!["objID".into()],
-            rows: vec![vec![Value::Int(1)]],
-        };
-        store.insert(
-            "g",
-            sample_regions()[0].clone(),
-            rs.clone(),
-            false,
-            "A",
-            &[],
-        );
-        store.save_snapshot(&dir).unwrap();
-        // Second snapshot with different contents must not leak the first.
-        let mut store2 = CacheStore::new(DescriptionKind::Array, None);
-        store2.insert("g", sample_regions()[1].clone(), rs, false, "B", &[]);
-        let written = store2.save_snapshot(&dir).unwrap();
-        assert_eq!(written, 1);
-        let mut restored = CacheStore::new(DescriptionKind::Array, None);
-        assert_eq!(restored.load_snapshot(&dir).unwrap().loaded, 1);
-        assert!(restored.lookup_exact("B").is_some());
-        assert!(restored.lookup_exact("A").is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! The size-bounded result store with LRU replacement.
 
 use crate::cache::description::{CacheDescription, DescriptionKind};
-use crate::cache::entry::CacheEntry;
+use crate::cache::entry::{charged_bytes, CacheEntry};
 use crate::cache::persist::{entry_from_xml, entry_to_xml};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{
@@ -399,7 +399,7 @@ impl CacheStore {
         bytes: usize,
         columnar: Option<Arc<ColumnarRows>>,
     ) -> Option<u64> {
-        let footprint = bytes + columnar.as_ref().map_or(0, |c| c.heap_bytes());
+        let footprint = charged_bytes(bytes, columnar.as_deref());
         if let Some(cap) = self.capacity {
             // Without a disk tier an entry bigger than the whole budget
             // can never be cached; with one, it inserts and the budget
@@ -741,7 +741,7 @@ impl CacheStore {
             return false;
         };
         let bytes = result.xml_bytes();
-        let footprint = bytes + columnar.as_ref().map_or(0, |c| c.heap_bytes());
+        let footprint = charged_bytes(bytes, columnar.as_deref());
         let entry = CacheEntry {
             id,
             residual_key: d.residual_key,

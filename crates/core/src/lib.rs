@@ -14,7 +14,7 @@
 //!    form's **function-embedded query template**, and uses the embedded
 //!    function's **function template** (an XML description of its spatial
 //!    semantics, paper Fig. 3) to build the query's [`fp_geometry::Region`].
-//! 2. The [`proxy::FunctionProxy`] classifies the new query against the
+//! 2. The [`runtime::ProxyHandle`] classifies the new query against the
 //!    **cache description** (array or R-tree over cached query regions):
 //!    exact match / contained / region containment / overlapping /
 //!    disjoint.
@@ -36,10 +36,11 @@
 //!   SkyServer, or any callback).
 //! * [`sim`] — the WAN/server cost model that converts execution
 //!   statistics into simulated milliseconds.
-//! * [`proxy`] — the proxy itself, plus per-query [`metrics`].
-//! * [`runtime`] — the concurrent front: sharded cache locks,
-//!   single-flight origin coalescing, and the `Arc`-cloneable
-//!   [`runtime::ProxyHandle`] served by the threaded HTTP server.
+//! * [`metrics`] — the per-query metrics record and trace aggregates.
+//! * [`runtime`] — the proxy itself: sharded cache locks, single-flight
+//!   origin coalescing, and the `Arc`-cloneable [`runtime::ProxyHandle`]
+//!   that serves the HTTP front ends, the fleet, and the paper's
+//!   experiments (one shard there, so capacity is one budget).
 //! * [`resilience`] — the fault-tolerant fetch path: deadlines,
 //!   retry/backoff, the per-origin circuit breaker, and the chaos
 //!   injection harness behind degraded serving.
@@ -65,7 +66,6 @@ pub mod lifecycle;
 pub mod metrics;
 pub mod observe;
 pub mod origin;
-pub mod proxy;
 pub mod query;
 pub mod resilience;
 pub mod runtime;
@@ -79,9 +79,8 @@ pub use config::{ProxyConfig, SchemeChoice};
 pub use lifecycle::{Freshness, LifecycleConfig, SnapshotPolicy};
 pub use observe::{LatencySummary, ObserveConfig, Observer};
 pub use origin::{CountingOrigin, Origin, OriginError, SiteOrigin};
-pub use proxy::FunctionProxy;
 pub use resilience::{ChaosOrigin, Fault, ResilienceConfig, ResilientOrigin};
-pub use runtime::{ProxyHandle, XmlResponse};
+pub use runtime::{ProxyHandle, ProxyResponse, XmlResponse};
 pub use schemes::Scheme;
 pub use sim::CostModel;
 

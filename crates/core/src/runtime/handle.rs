@@ -1,8 +1,8 @@
-//! [`ProxyHandle`]: the shared, thread-safe proxy front.
+//! [`ProxyHandle`]: the shared, thread-safe proxy.
 //!
-//! The handle serves the same decision procedure as
-//! [`crate::proxy::FunctionProxy`], restructured into phases so no lock
-//! is ever held across an origin fetch:
+//! The handle serves the paper's decision procedure (§3: exact match,
+//! containment, region containment, overlap, disjoint), structured into
+//! phases so no lock is ever held across an origin fetch:
 //!
 //! 1. **Cache phase** (one shard lock): exact lookup, relationship
 //!    classification, and — when possible — the complete answer (exact
@@ -44,10 +44,9 @@ use crate::lifecycle::Freshness;
 use crate::metrics::{Outcome, QueryMetrics};
 use crate::observe::{Observer, OutcomeClass, PathClass, Phase as ObsPhase};
 use crate::origin::Origin;
-use crate::proxy::ProxyResponse;
 use crate::query::{
-    classify, classify_graded, eval_entry_region, merge_results, region_inside_predicate,
-    remainder_query, EvalScratch, QueryStatus,
+    classify, classify_graded, eval_entry_region, merge_results, remainder_query, EvalScratch,
+    QueryStatus,
 };
 use crate::resilience::{Clock, ResilientOrigin, SystemClock};
 use crate::runtime::shard::ShardedStore;
@@ -56,16 +55,15 @@ use crate::runtime::{RuntimeSnapshot, RuntimeStats};
 use crate::schemes::Scheme;
 use crate::template::{BoundQuery, TemplateManager};
 use crate::ProxyError;
-use fp_geometry::Region;
 use fp_skyserver::{ColumnarRows, ResultSet};
-use fp_sqlmini::{BinOp, Expr, Query, TableSource};
+use fp_sqlmini::Query;
 use fp_xmlite::Element;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -133,176 +131,9 @@ struct Runtime {
     /// `scheme_choice` is [`SchemeChoice::Adaptive`]. Consulted once
     /// per request and fed once per finished request.
     profit: Option<ProfitModel>,
-    /// In-flight overlap remainder batches, keyed by residual key.
-    /// While one request's remainder fetch is out, later overlap
-    /// misses on the same key park their remainder queries here; the
-    /// finishing leader answers the whole queue with a single combined
-    /// origin round trip.
-    remainder_batches: Mutex<HashMap<String, RemainderBatch>>,
     /// The observability hub: per-phase latency histograms and the
     /// sampled span recorder, shared with the resilience layer.
     observe: Arc<Observer>,
-}
-
-/// One in-flight overlap remainder batch: followers that missed on
-/// the same residual key while the leading remainder fetch was out.
-/// A shared residual key pins the template, the non-spatial bindings,
-/// and the select list, so the queued queries differ only in their
-/// spatial predicates — which is what makes OR-combining them sound.
-struct RemainderBatch {
-    waiters: Vec<BatchTicket>,
-}
-
-/// A parked follower: its own remainder query and query region, plus
-/// the slot the leader fills with the shared combined result.
-struct BatchTicket {
-    query: Query,
-    region: Region,
-    slot: Arc<BatchSlot>,
-}
-
-/// What a batch leader hands each follower: the shared combined
-/// result set and its simulated fetch cost.
-type BatchResult = Result<(Arc<ResultSet>, f64), ProxyError>;
-
-/// The rendezvous between a batch leader and one follower.
-struct BatchSlot {
-    ready: Mutex<Option<BatchResult>>,
-    cv: Condvar,
-}
-
-impl BatchSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(BatchSlot {
-            ready: Mutex::new(None),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: BatchResult) {
-        *self.ready.lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-        self.cv.notify_one();
-    }
-
-    fn wait(&self) -> BatchResult {
-        let mut ready = self.ready.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = ready.take() {
-                return result;
-            }
-            ready = self.cv.wait(ready).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
-/// Synthesizes the one origin query answering every parked remainder.
-///
-/// A remainder query's spatial restriction is the table-valued function
-/// call in its `FROM` clause, so OR-ing the waiters' `WHERE` clauses
-/// under any single waiter's `FROM` would pin the candidate rows to
-/// that waiter's region. Instead the combined query scans the joined
-/// base table directly and carries each waiter's region as an explicit
-/// predicate:
-///
-/// ```sql
-/// SELECT … FROM <base table> <alias>
-/// WHERE (inside(region_1) AND <remainder predicates_1>)
-///    OR (inside(region_2) AND <remainder predicates_2>) …
-/// ```
-///
-/// This is sound because [`region_inside_predicate`]'s closed
-/// inequalities are exactly the function's declared region test (the
-/// same equivalence the probe/remainder split already relies on), and
-/// the shared residual key pins every non-spatial predicate. The
-/// rewrite drops the function and its semijoin, so it only applies
-/// when the query shape proves nothing else reads the function's rows:
-/// one plain-table join over the registered coordinate alias, joined by
-/// a single key equality, with every other column reference qualified
-/// by that alias. Returns `None` otherwise.
-fn combined_batch_query(bound: &BoundQuery, waiters: &[BatchTicket]) -> Option<Query> {
-    let reg = &bound.reg;
-    let first = &waiters[0].query;
-    if !matches!(first.from, TableSource::Function { .. }) {
-        return None;
-    }
-    let fn_binding = first.from.binding_name();
-    let [join] = first.joins.as_slice() else {
-        return None;
-    };
-    if !matches!(join.source, TableSource::Table { .. })
-        || join.source.binding_name() != reg.coord_alias
-        || !is_key_equijoin(&join.on, fn_binding, &reg.coord_alias)
-    {
-        return None;
-    }
-    let reads_only_alias = |e: &Expr| {
-        let mut ok = true;
-        e.walk(&mut |n| {
-            if let Expr::Column { qualifier, .. } = n {
-                ok &= qualifier.as_deref() == Some(reg.coord_alias.as_str());
-            }
-        });
-        ok
-    };
-    let projectable = first.select.iter().all(|item| match item {
-        fp_sqlmini::SelectItem::Wildcard => false,
-        fp_sqlmini::SelectItem::QualifiedWildcard(a) => *a == reg.coord_alias,
-        fp_sqlmini::SelectItem::Expr { expr, .. } => reads_only_alias(expr),
-    });
-    if !projectable || first.order_by.is_some() {
-        return None;
-    }
-    for w in waiters {
-        if !w.query.where_clause.iter().all(&reads_only_alias) {
-            return None;
-        }
-    }
-
-    let mut combined = first.clone();
-    combined.from = join.source.clone();
-    combined.joins.clear();
-    let mut pred: Option<Expr> = None;
-    for w in waiters {
-        let inside = region_inside_predicate(&w.region, &reg.coord_alias, &reg.coord_columns);
-        let branch = match &w.query.where_clause {
-            Some(clause) => Expr::binary(BinOp::And, inside, clause.clone()),
-            None => inside,
-        };
-        pred = Some(match pred {
-            Some(acc) => Expr::binary(BinOp::Or, acc, branch),
-            None => branch,
-        });
-    }
-    combined.where_clause = pred;
-    Some(combined)
-}
-
-/// Whether `on` is exactly `<fn_binding>.k = <alias>.k` (either order):
-/// the key semijoin that restricting the base table to the query region
-/// replaces.
-fn is_key_equijoin(on: &Expr, fn_binding: &str, alias: &str) -> bool {
-    let Expr::Binary {
-        op: BinOp::Eq,
-        left,
-        right,
-    } = on
-    else {
-        return false;
-    };
-    let (
-        Expr::Column {
-            qualifier: Some(lq),
-            name: ln,
-        },
-        Expr::Column {
-            qualifier: Some(rq),
-            name: rn,
-        },
-    ) = (left.as_ref(), right.as_ref())
-    else {
-        return false;
-    };
-    ln == rn && ((lq == fn_binding && rq == alias) || (lq == alias && rq == fn_binding))
 }
 
 /// Mutable snapshot-scheduler state (behind a `try_lock` so the serve
@@ -353,6 +184,18 @@ impl Timing {
             lock_wait_ms: 0.0,
         }
     }
+}
+
+/// A served request: the result plus its metrics record.
+///
+/// The result is `Arc`-shared with the cache entry that holds (or was
+/// served from) it, so responding never deep-copies tuples.
+#[derive(Debug, Clone)]
+pub struct ProxyResponse {
+    /// Rows returned to the client.
+    pub result: Arc<ResultSet>,
+    /// The per-query metrics the proxy servlet logs.
+    pub metrics: QueryMetrics,
 }
 
 /// A response served as pre-assembled XML bytes. On the columnar hot
@@ -562,7 +405,6 @@ impl ProxyHandle {
                 reval_threads: Mutex::new(Vec::new()),
                 snap,
                 profit,
-                remainder_batches: Mutex::new(HashMap::new()),
                 observe,
                 clock,
                 config,
@@ -832,8 +674,8 @@ impl ProxyHandle {
         }
     }
 
-    /// Serves an HTML-form request; see
-    /// [`crate::proxy::FunctionProxy::handle_form`].
+    /// Serves an HTML-form request: resolve against the registered info
+    /// files and templates, then answer per the configured scheme.
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
@@ -846,8 +688,10 @@ impl ProxyHandle {
         self.handle_bound(bound)
     }
 
-    /// Serves a raw SQL request; see
-    /// [`crate::proxy::FunctionProxy::handle_sql`].
+    /// Serves a raw SQL request (the power-user path). Queries that match
+    /// a registered template get full active caching; anything else is
+    /// forwarded to the origin uncached (the proxy has no semantics to
+    /// cache it by — exactly the paper's motivation for templates).
     ///
     /// # Errors
     /// Propagates resolution failures and origin errors.
@@ -1942,8 +1786,8 @@ impl ProxyHandle {
 
     /// Plans the merge paths (region containment / overlap): snapshots
     /// the probed entries under the held lock so both the fetch *and*
-    /// the probe filtering can run lock-free. Mirrors
-    /// [`crate::proxy::FunctionProxy`]'s merge procedure.
+    /// the probe filtering can run lock-free. The fan-in is bounded by
+    /// `max_merge_entries`, preferring the largest cached parts.
     fn merge_plan(
         &self,
         store: &mut CacheStore,
@@ -2135,13 +1979,8 @@ impl ProxyHandle {
             timing.local_ms += ms_since(local_start);
         }
 
-        // Overlap remainders are batchable: concurrent overlap misses
-        // sharing the residual key ride one combined origin round trip.
-        let (fetched, origin_sim_ms) = if plan.is_remainder && plan.outcome == Outcome::Overlap {
-            self.fetch_overlap_remainder(bound, &plan.query)?
-        } else {
-            self.fetch(&plan.query, plan.is_remainder, PathClass::Miss)?
-        };
+        let (fetched, origin_sim_ms) =
+            self.fetch(&plan.query, plan.is_remainder, PathClass::Miss)?;
 
         let (result, rows_from_cache, truncated) = match cached_part {
             Some(part) => {
@@ -2245,141 +2084,6 @@ impl ProxyHandle {
         ProxyResponse {
             result: leader.result,
             metrics,
-        }
-    }
-
-    /// The overlap path's origin interaction, with cross-request
-    /// remainder batching. The first remainder out for a residual key
-    /// fetches alone; remainders that arrive while it is in flight
-    /// park in the batch table, and the finishing leader serves the
-    /// whole queue with **one** combined round trip — the OR of their
-    /// remainder predicates (sound because a shared residual key pins
-    /// everything but the spatial clauses). Each follower then filters
-    /// the shared result down to its own region; rows the filter
-    /// admits beyond the follower's remainder are already covered by
-    /// its cached probe parts and deduplicate in the key-based merge.
-    fn fetch_overlap_remainder(
-        &self,
-        bound: &BoundQuery,
-        query: &Query,
-    ) -> Result<(ResultSet, f64), ProxyError> {
-        let enlisted = {
-            let mut table = self
-                .inner
-                .remainder_batches
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match table.get_mut(&bound.residual_key) {
-                None => {
-                    table.insert(
-                        bound.residual_key.clone(),
-                        RemainderBatch {
-                            waiters: Vec::new(),
-                        },
-                    );
-                    None
-                }
-                Some(batch) => {
-                    let slot = BatchSlot::new();
-                    batch.waiters.push(BatchTicket {
-                        query: query.clone(),
-                        region: bound.region.clone(),
-                        slot: Arc::clone(&slot),
-                    });
-                    Some(slot)
-                }
-            }
-        };
-
-        let Some(slot) = enlisted else {
-            // Leader: own fetch first, then serve whoever queued up
-            // meanwhile. The batch entry is removed in `drain`
-            // regardless of the fetch's outcome, so a failed leader
-            // never wedges the key.
-            let own = self.fetch(query, true, PathClass::Miss);
-            let waiters = self.drain_batch(&bound.residual_key);
-            if !waiters.is_empty() {
-                match &own {
-                    Ok(_) => self.serve_batch(bound, waiters),
-                    // Origin just failed; followers decide their own
-                    // fate with their own (likely also failing, but
-                    // independently retried/breakered) attempts.
-                    Err(e) => {
-                        for w in waiters {
-                            w.slot.fill(Err(e.clone()));
-                        }
-                    }
-                }
-            }
-            return own;
-        };
-
-        // Follower: wait out the leader's combined fetch.
-        match slot.wait() {
-            Ok((combined, sim_ms)) => {
-                let coord_idx: Option<Vec<usize>> = bound
-                    .reg
-                    .coord_columns
-                    .iter()
-                    .map(|c| combined.column_index(c))
-                    .collect();
-                let filtered = coord_idx.and_then(|idx| {
-                    with_scratch(|scratch| {
-                        eval_entry_region(&combined, None, &idx, &bound.region, scratch)
-                    })
-                });
-                match filtered {
-                    // The follower waited out the combined fetch, so it
-                    // is charged that fetch's simulated cost (the same
-                    // convention as coalesced exact followers).
-                    Some(eval) => Ok((eval.result, sim_ms)),
-                    // The combined result cannot map the coordinate
-                    // columns: fetch solo rather than serve bad rows.
-                    None => self.fetch(query, true, PathClass::Miss),
-                }
-            }
-            Err(_) => self.fetch(query, true, PathClass::Miss),
-        }
-    }
-
-    /// Removes and returns the batch queue for `residual_key`.
-    fn drain_batch(&self, residual_key: &str) -> Vec<BatchTicket> {
-        let mut table = self
-            .inner
-            .remainder_batches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        table
-            .remove(residual_key)
-            .map_or_else(Vec::new, |b| b.waiters)
-    }
-
-    /// The leader's follower service: one combined fetch covering
-    /// every parked remainder, distributed through their slots.
-    fn serve_batch(&self, bound: &BoundQuery, waiters: Vec<BatchTicket>) {
-        let Some(combined) = combined_batch_query(bound, &waiters) else {
-            // The queries' shape defeats the rewrite; every follower
-            // falls back to its own solo fetch.
-            let e = ProxyError::Template("remainder batch is not combinable".into());
-            for w in waiters {
-                w.slot.fill(Err(e.clone()));
-            }
-            return;
-        };
-        self.inner.stats.note_remainder_batch(waiters.len());
-
-        match self.fetch(&combined, true, PathClass::Miss) {
-            Ok((result, sim_ms)) => {
-                let shared = Arc::new(result);
-                for w in waiters {
-                    w.slot.fill(Ok((Arc::clone(&shared), sim_ms)));
-                }
-            }
-            Err(e) => {
-                for w in waiters {
-                    w.slot.fill(Err(e.clone()));
-                }
-            }
         }
     }
 
@@ -2912,8 +2616,10 @@ impl ProxyHandle {
     }
 }
 
-/// The §3.2 tradeoff gate against a single shard (see
-/// [`crate::proxy::FunctionProxy`]).
+/// The §3.2 tradeoff gate against a single shard: is enough of the new
+/// region cached to make probe + remainder cheaper than forwarding?
+/// Estimated by quasi-Monte-Carlo coverage sampling; always `true` at
+/// the default threshold of zero.
 fn coverage_worthwhile(
     config: &ProxyConfig,
     store: &CacheStore,
@@ -2945,6 +2651,7 @@ mod tests {
     use crate::origin::SiteOrigin;
     use crate::sim::CostModel;
     use fp_skyserver::{Catalog, CatalogSpec, SkySite};
+    use std::sync::Condvar;
 
     fn handle(scheme: Scheme) -> ProxyHandle {
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
@@ -3004,6 +2711,7 @@ mod tests {
         let o = radial(&h, 185.0 + 25.0 / 60.0, 0.0, 15.0);
         assert_eq!(o.metrics.outcome, Outcome::Overlap);
         assert!(o.metrics.rows_from_cache > 0);
+        assert!(o.metrics.cache_efficiency() > 0.0 && o.metrics.cache_efficiency() < 1.0);
 
         let oracle = handle(Scheme::NoCache);
         let truth = radial(&oracle, 185.0 + 25.0 / 60.0, 0.0, 15.0);
@@ -3023,11 +2731,13 @@ mod tests {
     #[test]
     fn passive_handle_hits_only_exact_text() {
         let h = handle(Scheme::Passive);
-        assert_eq!(
-            radial(&h, 185.0, 0.0, 20.0).metrics.outcome,
-            Outcome::Forwarded
-        );
-        assert_eq!(radial(&h, 185.0, 0.0, 20.0).metrics.outcome, Outcome::Exact);
+        let a = radial(&h, 185.0, 0.0, 20.0);
+        assert_eq!(a.metrics.outcome, Outcome::Forwarded);
+        let b = radial(&h, 185.0, 0.0, 20.0);
+        assert_eq!(b.metrics.outcome, Outcome::Exact);
+        assert_eq!(b.metrics.cache_efficiency(), 1.0);
+        assert_eq!(ids_of(&a), ids_of(&b));
+        // A subsumed query is a passive miss.
         assert_eq!(
             radial(&h, 185.0, 0.0, 10.0).metrics.outcome,
             Outcome::Forwarded
@@ -3037,10 +2747,157 @@ mod tests {
     #[test]
     fn no_cache_handle_always_forwards() {
         let h = handle(Scheme::NoCache);
-        radial(&h, 185.0, 0.0, 20.0);
-        radial(&h, 185.0, 0.0, 20.0);
+        let a = radial(&h, 185.0, 0.0, 20.0);
+        let b = radial(&h, 185.0, 0.0, 20.0);
+        assert_eq!(a.metrics.outcome, Outcome::Forwarded);
+        assert_eq!(b.metrics.outcome, Outcome::Forwarded);
         assert_eq!(h.cache_stats().entries, 0);
         assert_eq!(h.runtime_stats().requests, 2);
+        assert_eq!(ids_of(&a), ids_of(&b));
+    }
+
+    #[test]
+    fn active_answers_contained_queries_locally() {
+        let h = handle(Scheme::ContainmentOnly);
+        let big = radial(&h, 185.0, 0.0, 25.0);
+        assert_eq!(big.metrics.outcome, Outcome::Forwarded);
+
+        let small = radial(&h, 185.0, 0.0, 10.0);
+        assert_eq!(small.metrics.outcome, Outcome::Contained);
+        assert_eq!(small.metrics.cache_efficiency(), 1.0);
+
+        // The locally evaluated answer must equal the origin's.
+        let oracle = handle(Scheme::NoCache);
+        let truth = radial(&oracle, 185.0, 0.0, 10.0);
+        assert_eq!(ids_of(&small), ids_of(&truth));
+        assert!(
+            !small.result.is_empty(),
+            "hotspot region should be populated"
+        );
+    }
+
+    #[test]
+    fn containment_only_ignores_overlap_and_region_containment() {
+        let h = handle(Scheme::ContainmentOnly);
+        radial(&h, 185.0, 0.0, 15.0);
+        // Overlapping query → forwarded, cached.
+        let o = radial(&h, 185.0 + 20.0 / 60.0, 0.0, 15.0);
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+        // Covering query → forwarded too (no region containment in Third).
+        let big = radial(&h, 185.0, 0.0, 60.0);
+        assert_eq!(big.metrics.outcome, Outcome::Forwarded);
+        assert_eq!(h.cache_stats().compactions, 0);
+    }
+
+    #[test]
+    fn region_containment_merges_and_compacts() {
+        let h = handle(Scheme::RegionContainment);
+        radial(&h, 185.0 - 10.0 / 60.0, 0.0, 8.0);
+        radial(&h, 185.0 + 10.0 / 60.0, 0.0, 8.0);
+        assert_eq!(h.cache_stats().entries, 2);
+
+        let big = radial(&h, 185.0, 0.0, 40.0);
+        assert_eq!(big.metrics.outcome, Outcome::RegionContainment);
+        assert!(big.metrics.rows_from_cache > 0);
+        // The two subsumed entries were replaced by the one merged entry.
+        assert_eq!(h.cache_stats().entries, 1);
+        assert_eq!(h.cache_stats().compactions, 2);
+
+        let oracle = handle(Scheme::NoCache);
+        let truth = radial(&oracle, 185.0, 0.0, 40.0);
+        assert_eq!(ids_of(&big), ids_of(&truth));
+
+        // The merged entry now answers subsumed queries.
+        let small = radial(&h, 185.0, 0.0, 12.0);
+        assert_eq!(small.metrics.outcome, Outcome::Contained);
+        let truth = radial(&oracle, 185.0, 0.0, 12.0);
+        assert_eq!(ids_of(&small), ids_of(&truth));
+    }
+
+    #[test]
+    fn region_containment_scheme_skips_general_overlap() {
+        let h = handle(Scheme::RegionContainment);
+        radial(&h, 185.0, 0.0, 20.0);
+        let o = radial(&h, 185.0 + 25.0 / 60.0, 0.0, 15.0);
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+    }
+
+    #[test]
+    fn origin_without_remainder_forces_original_queries() {
+        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let h = ProxyHandle::with_shards(
+            TemplateManager::with_sky_defaults(),
+            Arc::new(SiteOrigin::without_remainder(site)),
+            ProxyConfig::default()
+                .with_scheme(Scheme::FullSemantic)
+                .with_cost(CostModel::free()),
+            1,
+        );
+        radial(&h, 185.0, 0.0, 20.0);
+        let o = radial(&h, 185.0 + 25.0 / 60.0, 0.0, 15.0);
+        // Overlap still answered correctly, but by forwarding the original.
+        assert_eq!(o.metrics.outcome, Outcome::Forwarded);
+    }
+
+    #[test]
+    fn capacity_bound_is_respected() {
+        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let h = ProxyHandle::with_shards(
+            TemplateManager::with_sky_defaults(),
+            Arc::new(SiteOrigin::new(site)),
+            ProxyConfig::default()
+                .with_scheme(Scheme::FullSemantic)
+                .with_cost(CostModel::free())
+                .with_capacity(Some(64 * 1024)),
+            1,
+        );
+        for i in 0..12 {
+            radial(&h, 183.0 + i as f64 * 0.5, 0.0, 12.0);
+        }
+        assert!(h.cache_stats().bytes <= 64 * 1024);
+    }
+
+    #[test]
+    fn coverage_threshold_gates_the_overlap_path() {
+        let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+        let strict = |threshold: f64| {
+            ProxyHandle::with_shards(
+                TemplateManager::with_sky_defaults(),
+                Arc::new(SiteOrigin::new(site.clone())),
+                ProxyConfig::default()
+                    .with_scheme(Scheme::FullSemantic)
+                    .with_cost(CostModel::free())
+                    .with_min_overlap_coverage(threshold),
+                1,
+            )
+        };
+
+        // A sliver of overlap: centers 28' apart, radii 20' and 10'.
+        let h = strict(0.9);
+        radial(&h, 185.0, 0.0, 20.0);
+        let slim = radial(&h, 185.0 + 28.0 / 60.0, 0.0, 10.0);
+        assert_eq!(
+            slim.metrics.outcome,
+            Outcome::Forwarded,
+            "thin overlap must not clear a 0.9 coverage threshold"
+        );
+
+        // Near-total coverage: same center, slightly shifted, must pass a
+        // modest threshold.
+        let h = strict(0.5);
+        radial(&h, 185.0, 0.0, 20.0);
+        let broad = radial(&h, 185.0 + 2.0 / 60.0, 0.0, 19.0);
+        assert_eq!(broad.metrics.outcome, Outcome::Overlap);
+        assert!(broad.metrics.cache_efficiency() > 0.5);
+    }
+
+    #[test]
+    fn metrics_breakdown_is_consistent() {
+        let h = handle(Scheme::FullSemantic);
+        let a = radial(&h, 185.0, 0.0, 20.0);
+        assert!(a.metrics.response_ms >= a.metrics.proxy_ms);
+        assert!((a.metrics.response_ms - a.metrics.sim_ms - a.metrics.proxy_ms).abs() < 1e-9);
+        assert_eq!(a.metrics.rows_total, a.result.len());
     }
 
     #[test]
@@ -3054,8 +2911,8 @@ mod tests {
     }
 
     /// A [`SiteOrigin`] behind a closable gate: while closed, `execute`
-    /// blocks (after counting its arrival) until the gate reopens — the
-    /// measuring device for the remainder-batching rendezvous.
+    /// blocks (after counting its arrival) until the gate reopens — a
+    /// way to hold one origin fetch in flight while others arrive.
     struct GateOrigin {
         site: SiteOrigin,
         open: Mutex<bool>,
@@ -3110,8 +2967,25 @@ mod tests {
         }
     }
 
+    /// The arcminute radius around (`ra`, `dec`) that puts catalog row
+    /// `row` in the ε fringe of ball membership: strictly outside the
+    /// exact radius (r² < d²), accepted by the ε-tolerant contains
+    /// (d² ≤ r² + EPS) — built like `fp-skyserver`'s fringe test.
+    fn fringe_radius(catalog: &Catalog, row: usize, ra: f64, dec: f64) -> f64 {
+        use fp_geometry::celestial::{angle_of_chord, radec_to_unit, radial_query_sphere};
+        let obj = catalog.unit_coords(row);
+        let d2 = fp_geometry::point::dist2_slices(&radec_to_unit(ra, dec), &obj);
+        let chord = (d2 - 0.5 * fp_geometry::EPS).sqrt();
+        let arcmin = angle_of_chord(chord).to_degrees() * 60.0;
+        let ball = radial_query_sphere(ra, dec, arcmin).unwrap();
+        assert!(d2 > ball.radius() * ball.radius(), "strictly outside r");
+        assert!(ball.contains_coords(&obj), "membership accepts the fringe");
+        arcmin
+    }
+
     #[test]
-    fn concurrent_overlap_remainders_share_one_combined_round_trip() {
+    fn overlap_remainder_in_flight_keeps_the_next_answers_fringe_rows() {
+        use fp_geometry::celestial::{angular_separation, arcmin_to_rad};
         let origin = Arc::new(GateOrigin::new());
         let h = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
@@ -3122,53 +2996,57 @@ mod tests {
             1,
         );
 
-        // Seed one cached entry every later query overlaps.
+        // Seed one cached entry both later queries overlap.
         radial(&h, 185.0, 0.0, 20.0);
         assert_eq!(origin.executes(), 1);
 
-        // Close the gate and launch the batch leader: its remainder
-        // fetch parks inside the origin, holding the batch open.
+        // The second query sits west of the seed, sized so a catalog
+        // object well outside the seed's region lands in its ε fringe:
+        // only the remainder fetch can contribute that row.
+        let (ra2, dec2) = (185.0 - 25.0 / 60.0, 0.1);
+        let catalog = origin.site.site().catalog();
+        let row = (0..catalog.len())
+            .find(|&row| {
+                let (ra, dec) = catalog.radec(row);
+                let near_rim = angular_separation(ra2, dec2, ra, dec);
+                let from_seed = angular_separation(185.0, 0.0, ra, dec);
+                near_rim > arcmin_to_rad(13.0)
+                    && near_rim < arcmin_to_rad(17.0)
+                    && from_seed > arcmin_to_rad(22.0)
+            })
+            .expect("a catalog object near the second query's rim");
+        let r2 = fringe_radius(catalog, row, ra2, dec2);
+        let queries = [(185.0 + 25.0 / 60.0, 0.0, 15.0), (ra2, dec2, r2)];
+
+        // Hold the first query's remainder fetch inside the origin, then
+        // let the second overlap miss on the same residual key arrive.
         origin.set_open(false);
-        let queries = [
-            (185.0 + 25.0 / 60.0, 0.0, 15.0),
-            (185.0 - 25.0 / 60.0, 0.1, 15.0),
-            (185.0, 0.4, 15.0),
-        ];
         let spawn = |&(ra, dec, r): &(f64, f64, f64)| {
             let h = h.clone();
             std::thread::spawn(move || radial(&h, ra, dec, r))
         };
-        let leader = spawn(&queries[0]);
+        let first = spawn(&queries[0]);
         spin_until(10_000, || origin.executes() == 2);
-
-        // Two more overlap misses arrive mid-flight and must enlist.
-        let followers: Vec<_> = queries[1..].iter().map(spawn).collect();
-        spin_until(10_000, || {
-            let table = h.inner.remainder_batches.lock().unwrap();
-            table.values().map(|b| b.waiters.len()).sum::<usize>() == 2
-        });
-
-        origin.set_open(true);
-        let mut responses = vec![leader.join().unwrap()];
-        for f in followers {
-            responses.push(f.join().unwrap());
+        let second = spawn(&queries[1]);
+        // Give the second remainder up to 2 s to reach the origin too; an
+        // engine that parks it elsewhere instead is judged by its answer.
+        let start = Instant::now();
+        while origin.executes() < 3 && start.elapsed().as_millis() < 2_000 {
+            std::thread::yield_now();
         }
-
-        // Seed + leader remainder + ONE combined fetch for both
-        // followers: three origin round trips, not four.
+        origin.set_open(true);
+        let responses = [first.join().unwrap(), second.join().unwrap()];
         assert_eq!(origin.executes(), 3);
-        let stats = h.runtime_stats();
-        assert_eq!(stats.remainder_batches, 1);
-        assert_eq!(stats.batched_remainders, 2);
 
-        // Soundness: every batched answer is row-identical to a
-        // no-cache oracle's.
+        // Both answers are row-identical to the no-cache handle's, the
+        // fringe object included.
         let oracle = handle(Scheme::NoCache);
         for (response, &(ra, dec, r)) in responses.iter().zip(&queries) {
             assert_eq!(response.metrics.outcome, Outcome::Overlap);
             assert!(response.metrics.rows_from_cache > 0);
             assert_eq!(ids_of(response), ids_of(&radial(&oracle, ra, dec, r)));
         }
+        assert!(ids_of(&responses[1]).contains(&catalog.obj_id(row)));
     }
 
     #[test]
@@ -3274,6 +3152,11 @@ mod tests {
         assert_eq!(
             h.handle_sql(raw).unwrap().metrics.outcome,
             Outcome::Forwarded
+        );
+        assert_eq!(
+            h.cache_stats().entries,
+            1,
+            "only the template query is cached"
         );
         assert_eq!(
             h.handle_sql(raw).unwrap().metrics.outcome,

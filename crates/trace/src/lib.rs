@@ -10,8 +10,10 @@
 //! against an unbounded cache ([`stats::classify_trace`]).
 //!
 //! [`rbe::Rbe`] is the paper's "Remote Browser Emulator": it replays a
-//! trace through a [`funcproxy::FunctionProxy`] and aggregates the
-//! response-time and cache-efficiency metrics the figures report.
+//! trace through a [`funcproxy::ProxyHandle`] — in order from one client
+//! for the paper's figures, or from several concurrent clients — and
+//! aggregates the response-time and cache-efficiency metrics the
+//! figures report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

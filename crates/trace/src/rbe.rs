@@ -2,7 +2,7 @@
 
 use crate::trace::Trace;
 use funcproxy::metrics::{QueryMetrics, TraceReport};
-use funcproxy::{FunctionProxy, ProxyError, ProxyHandle};
+use funcproxy::{ProxyError, ProxyHandle};
 
 /// The paper's RBE ("the program we write for emulating a web browser
 /// client"): issues each trace query as a Radial form request and records
@@ -21,148 +21,77 @@ impl Default for Rbe {
 }
 
 impl Rbe {
-    /// Replays `trace` through `proxy`, returning per-query metrics.
+    /// Replays `trace` through `handle` from `threads` concurrent client
+    /// threads, returning per-query metrics in trace order. Queries are
+    /// dealt round-robin: client `t` issues queries `t, t+threads,
+    /// t+2*threads, ...` in order, so each query runs exactly once and
+    /// every client sees an in-order subsequence of the trace. One
+    /// thread replays the trace strictly in order.
+    ///
+    /// `bytes` picks the response path: `false` serves rows
+    /// ([`ProxyHandle::handle_form`]); `true` serves pre-serialized XML
+    /// ([`ProxyHandle::handle_form_xml`]), the path the HTTP front ends
+    /// use, so hits — RAM and disk tier — are timed without
+    /// materializing tuples.
     ///
     /// # Errors
-    /// Stops at the first proxy error (misconfigured templates or a dead
-    /// origin make the whole run meaningless).
+    /// Returns the first proxy error any client hit (misconfigured
+    /// templates or a dead origin make the whole run meaningless).
     pub fn replay(
         &self,
-        proxy: &mut FunctionProxy,
+        handle: &ProxyHandle,
         trace: &Trace,
+        threads: usize,
+        bytes: bool,
     ) -> Result<Vec<QueryMetrics>, ProxyError> {
-        let mut out = Vec::with_capacity(trace.len());
-        for q in &trace.queries {
-            let response = proxy.handle_form(&self.form_path, &q.form_fields())?;
-            out.push(response.metrics);
+        let threads = threads.clamp(1, trace.len().max(1));
+        let form_path = &self.form_path;
+        let per_thread: Vec<Result<Vec<(usize, QueryMetrics)>, ProxyError>> =
+            std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..threads)
+                    .map(|t| {
+                        scope.spawn(move || {
+                            let mut out = Vec::new();
+                            for (i, q) in trace.queries.iter().enumerate().skip(t).step_by(threads)
+                            {
+                                let fields = q.form_fields();
+                                let metrics = if bytes {
+                                    handle.handle_form_xml(form_path, &fields)?.metrics
+                                } else {
+                                    handle.handle_form(form_path, &fields)?.metrics
+                                };
+                                out.push((i, metrics));
+                            }
+                            Ok(out)
+                        })
+                    })
+                    .collect();
+                clients
+                    .into_iter()
+                    .map(|c| c.join().expect("client thread panicked"))
+                    .collect()
+            });
+
+        let mut metrics: Vec<Option<QueryMetrics>> = vec![None; trace.len()];
+        for client in per_thread {
+            for (i, m) in client? {
+                metrics[i] = Some(m);
+            }
         }
-        Ok(out)
+        Ok(metrics
+            .into_iter()
+            .map(|m| m.expect("round-robin deal covers every query"))
+            .collect())
     }
 
-    /// Replays and aggregates in one step.
+    /// Replays `trace` in order from one client over the row path and
+    /// aggregates — how the paper's experiments run.
     ///
     /// # Errors
     /// See [`Rbe::replay`].
-    pub fn run(&self, proxy: &mut FunctionProxy, trace: &Trace) -> Result<TraceReport, ProxyError> {
-        Ok(TraceReport::from_metrics(&self.replay(proxy, trace)?))
-    }
-
-    /// Replays `trace` through a shared [`ProxyHandle`] from `threads`
-    /// concurrent client threads. Queries are dealt round-robin: client
-    /// `t` issues queries `t, t+threads, t+2*threads, ...` in order, so
-    /// each query runs exactly once and every client sees an in-order
-    /// subsequence of the trace. Returned metrics are in trace order.
-    ///
-    /// # Errors
-    /// Returns the first proxy error any client hit (the run is
-    /// meaningless after one, same as [`Rbe::replay`]).
-    pub fn replay_shared(
-        &self,
-        handle: &ProxyHandle,
-        trace: &Trace,
-        threads: usize,
-    ) -> Result<Vec<QueryMetrics>, ProxyError> {
-        let threads = threads.clamp(1, trace.len().max(1));
-        let form_path = &self.form_path;
-        let per_thread: Vec<Result<Vec<(usize, QueryMetrics)>, ProxyError>> =
-            std::thread::scope(|scope| {
-                let clients: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let handle = handle.clone();
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for (i, q) in trace.queries.iter().enumerate().skip(t).step_by(threads)
-                            {
-                                let response = handle.handle_form(form_path, &q.form_fields())?;
-                                out.push((i, response.metrics));
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                clients
-                    .into_iter()
-                    .map(|c| c.join().expect("client thread panicked"))
-                    .collect()
-            });
-
-        let mut metrics: Vec<Option<QueryMetrics>> = vec![None; trace.len()];
-        for client in per_thread {
-            for (i, m) in client? {
-                metrics[i] = Some(m);
-            }
-        }
-        Ok(metrics
-            .into_iter()
-            .map(|m| m.expect("round-robin deal covers every query"))
-            .collect())
-    }
-
-    /// [`Rbe::replay_shared`] over the bytes path: every client calls
-    /// [`ProxyHandle::handle_form_xml`], so hits — RAM and disk tier —
-    /// are served as pre-serialized XML without materializing tuples.
-    /// This is the path the HTTP front ends use; replaying through it
-    /// measures the zero-copy serve latencies rather than the
-    /// tuple-materializing ones. Deal and ordering are identical to
-    /// [`Rbe::replay_shared`].
-    ///
-    /// # Errors
-    /// Returns the first proxy error any client hit.
-    pub fn replay_shared_xml(
-        &self,
-        handle: &ProxyHandle,
-        trace: &Trace,
-        threads: usize,
-    ) -> Result<Vec<QueryMetrics>, ProxyError> {
-        let threads = threads.clamp(1, trace.len().max(1));
-        let form_path = &self.form_path;
-        let per_thread: Vec<Result<Vec<(usize, QueryMetrics)>, ProxyError>> =
-            std::thread::scope(|scope| {
-                let clients: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let handle = handle.clone();
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            for (i, q) in trace.queries.iter().enumerate().skip(t).step_by(threads)
-                            {
-                                let response =
-                                    handle.handle_form_xml(form_path, &q.form_fields())?;
-                                out.push((i, response.metrics));
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                clients
-                    .into_iter()
-                    .map(|c| c.join().expect("client thread panicked"))
-                    .collect()
-            });
-
-        let mut metrics: Vec<Option<QueryMetrics>> = vec![None; trace.len()];
-        for client in per_thread {
-            for (i, m) in client? {
-                metrics[i] = Some(m);
-            }
-        }
-        Ok(metrics
-            .into_iter()
-            .map(|m| m.expect("round-robin deal covers every query"))
-            .collect())
-    }
-
-    /// [`Rbe::replay_shared`] plus aggregation.
-    ///
-    /// # Errors
-    /// See [`Rbe::replay_shared`].
-    pub fn run_shared(
-        &self,
-        handle: &ProxyHandle,
-        trace: &Trace,
-        threads: usize,
-    ) -> Result<TraceReport, ProxyError> {
+    pub fn run(&self, handle: &ProxyHandle, trace: &Trace) -> Result<TraceReport, ProxyError> {
         Ok(TraceReport::from_metrics(
-            &self.replay_shared(handle, trace, threads)?,
+            &self.replay(handle, trace, 1, false)?,
         ))
     }
 }
@@ -177,12 +106,13 @@ mod tests {
     use funcproxy::{CostModel, ProxyConfig, Scheme, SiteOrigin};
     use std::sync::Arc;
 
-    fn proxy(scheme: Scheme) -> FunctionProxy {
+    fn proxy(scheme: Scheme) -> ProxyHandle {
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        FunctionProxy::new(
+        ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),
             ProxyConfig::default().with_scheme(scheme),
+            1,
         )
     }
 
@@ -193,8 +123,8 @@ mod tests {
             ..TraceSpec::small_test()
         }
         .generate();
-        let mut p = proxy(Scheme::FullSemantic);
-        let metrics = Rbe::default().replay(&mut p, &trace).unwrap();
+        let p = proxy(Scheme::FullSemantic);
+        let metrics = Rbe::default().replay(&p, &trace, 1, false).unwrap();
         assert_eq!(metrics.len(), trace.len());
         let report = TraceReport::from_metrics(&metrics);
         assert_eq!(report.queries, 60);
@@ -211,12 +141,9 @@ mod tests {
         .generate();
         let rbe = Rbe::default();
 
-        let mut nc = proxy(Scheme::NoCache);
-        let mut pc = proxy(Scheme::Passive);
-        let mut ac = proxy(Scheme::FullSemantic);
-        let r_nc = rbe.run(&mut nc, &trace).unwrap();
-        let r_pc = rbe.run(&mut pc, &trace).unwrap();
-        let r_ac = rbe.run(&mut ac, &trace).unwrap();
+        let r_nc = rbe.run(&proxy(Scheme::NoCache), &trace).unwrap();
+        let r_pc = rbe.run(&proxy(Scheme::Passive), &trace).unwrap();
+        let r_ac = rbe.run(&proxy(Scheme::FullSemantic), &trace).unwrap();
 
         assert_eq!(r_nc.avg_cache_efficiency, 0.0);
         assert!(
@@ -244,7 +171,7 @@ mod tests {
         let rbe = Rbe::default();
 
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        let handle = funcproxy::ProxyHandle::with_shards(
+        let handle = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site.clone())),
             ProxyConfig::default()
@@ -252,18 +179,19 @@ mod tests {
                 .with_cost(CostModel::free()),
             4,
         );
-        let metrics = rbe.replay_shared(&handle, &trace, 8).unwrap();
+        let metrics = rbe.replay(&handle, &trace, 8, false).unwrap();
         assert_eq!(metrics.len(), trace.len());
 
         // Row counts per query must match a no-cache oracle replay.
-        let mut oracle = FunctionProxy::new(
+        let oracle = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),
             ProxyConfig::default()
                 .with_scheme(Scheme::NoCache)
                 .with_cost(CostModel::free()),
+            1,
         );
-        let truth = rbe.replay(&mut oracle, &trace).unwrap();
+        let truth = rbe.replay(&oracle, &trace, 1, false).unwrap();
         for (i, (m, t)) in metrics.iter().zip(&truth).enumerate() {
             assert_eq!(m.rows_total, t.rows_total, "query {i} row count");
         }
@@ -280,24 +208,26 @@ mod tests {
         let rbe = Rbe::default();
 
         let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-        let mut with_array = FunctionProxy::new(
+        let with_array = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site.clone())),
             ProxyConfig::default()
                 .with_scheme(Scheme::FullSemantic)
                 .with_description(DescriptionKind::Array)
                 .with_cost(CostModel::free()),
+            1,
         );
-        let mut with_rtree = FunctionProxy::new(
+        let with_rtree = ProxyHandle::with_shards(
             TemplateManager::with_sky_defaults(),
             Arc::new(SiteOrigin::new(site)),
             ProxyConfig::default()
                 .with_scheme(Scheme::FullSemantic)
                 .with_description(DescriptionKind::RTree)
                 .with_cost(CostModel::free()),
+            1,
         );
-        let a = rbe.replay(&mut with_array, &trace).unwrap();
-        let b = rbe.replay(&mut with_rtree, &trace).unwrap();
+        let a = rbe.replay(&with_array, &trace, 1, false).unwrap();
+        let b = rbe.replay(&with_rtree, &trace, 1, false).unwrap();
         // Identical outcomes and identical tuple counts, query by query.
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.outcome, y.outcome);

@@ -1,24 +1,34 @@
 //! Cache persistence across proxy restarts: the paper's proxy keeps its
 //! results as XML files on disk (Figure 4, "Query Result Files"); this
-//! example fills a cache, "restarts" the proxy, reloads the files, and
-//! shows the warm cache answering without touching the origin.
+//! example fills a cache, snapshots it (each entry one XML result
+//! document inside a checksummed `.fpsnap` shard file), "restarts" the
+//! proxy over the same directory, and shows the warm cache answering
+//! without touching the origin.
 //!
 //! ```sh
 //! cargo run --example warm_restart
 //! ```
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, LifecycleConfig, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
+use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn proxy(site: &SkySite) -> FunctionProxy {
-    FunctionProxy::new(
+/// A proxy that recovers any snapshot in `dir` when built and writes
+/// one on `snapshot_now` (the hour-long schedule never fires here).
+fn proxy(site: &SkySite, dir: &Path) -> ProxyHandle {
+    ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
-            .with_cost(CostModel::free()),
+            .with_cost(CostModel::free())
+            .with_lifecycle(
+                LifecycleConfig::default().with_snapshot(dir, Duration::from_secs(3600)),
+            ),
+        1,
     )
 }
 
@@ -39,7 +49,7 @@ fn main() {
     // Session 1: a proxy warms up on live traffic, then shuts down.
     println!("— session 1: populating the cache —");
     {
-        let mut p = proxy(&site);
+        let p = proxy(&site, &dir);
         for (ra, dec, radius) in [(185.0, 0.5, 25.0), (186.2, -0.8, 15.0), (183.5, 1.2, 10.0)] {
             let r = p
                 .handle_form("/search/radial", &radial(ra, dec, radius))
@@ -50,9 +60,10 @@ fn main() {
                 r.metrics.outcome.label()
             );
         }
-        let written = p.save_cache(&dir).expect("snapshot saves");
+        let entries = p.cache_stats().entries;
+        let written = p.snapshot_now().expect("snapshot saves");
         println!(
-            "  persisted {written} XML result files to {}",
+            "  persisted {entries} XML result documents in {written} snapshot file(s) to {}",
             dir.display()
         );
         for file in std::fs::read_dir(&dir).unwrap() {
@@ -65,14 +76,14 @@ fn main() {
         }
     } // proxy dropped: "the servlet restarts"
 
-    // Session 2: a fresh proxy loads the files and serves from them.
+    // Session 2: a fresh proxy recovers the snapshot and serves from it.
     println!("\n— session 2: fresh proxy, warm cache —");
     site.reset_load();
-    let mut p = proxy(&site);
-    let load = p.load_cache(&dir).expect("snapshot loads");
+    let p = proxy(&site, &dir);
+    let stats = p.runtime_stats();
     println!(
-        "  restored {} entries ({} skipped)",
-        load.loaded, load.skipped
+        "  restored {} entries ({} corrupt segments skipped)",
+        stats.recovered_entries, stats.snapshot_corrupt_segments
     );
 
     for (label, ra, dec, radius) in [
@@ -90,7 +101,7 @@ fn main() {
         );
     }
     println!(
-        "  origin queries in session 2: {} (everything served from the restored files)",
+        "  origin queries in session 2: {} (everything served from the restored entries)",
         site.load().queries
     );
 

@@ -19,20 +19,20 @@
 //! | [`httpd`] | `fp-httpd` | minimal HTTP/1.1 server/client for the networked examples |
 //! | [`trace`] | `fp-trace` | calibrated Radial traces + the remote browser emulator |
 //! | [`edge`] | `fp-edge` | nonblocking epoll edge server: reactor + worker pool, admission control |
-//! | [`proxy`] | `funcproxy` | **the function proxy** — templates, cache, schemes, metrics |
+//! | [`proxy`] | `funcproxy` | **the function proxy** — templates, cache, schemes, metrics, and the `ProxyHandle` engine |
 //!
 //! ## Quickstart
 //!
 //! ```
 //! use fp_suite::proxy::template::TemplateManager;
-//! use fp_suite::proxy::{FunctionProxy, ProxyConfig, Scheme, SiteOrigin, CostModel};
+//! use fp_suite::proxy::{ProxyHandle, ProxyConfig, Scheme, SiteOrigin, CostModel};
 //! use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 //! use std::sync::Arc;
 //!
 //! // An origin web site over a synthetic sky catalog…
 //! let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-//! // …and a function proxy in front of it.
-//! let mut proxy = FunctionProxy::new(
+//! // …and a function proxy in front of it (cloneable, thread-safe).
+//! let proxy = ProxyHandle::new(
 //!     TemplateManager::with_sky_defaults(),
 //!     Arc::new(SiteOrigin::new(site)),
 //!     ProxyConfig::default().with_scheme(Scheme::FullSemantic).with_cost(CostModel::free()),

@@ -1,20 +1,28 @@
-//! Warm restart: a proxy persists its cache as XML result files (the
-//! paper's Figure 4 "Query Result Files"), a fresh proxy loads them, and
-//! previously cached knowledge keeps answering queries with zero origin
-//! traffic.
+//! Warm restart: a proxy snapshots its cache (each entry one XML result
+//! document — the paper's Figure 4 "Query Result Files"), a fresh proxy
+//! rebuilt over the same directory recovers it, and previously cached
+//! knowledge keeps answering queries with zero origin traffic.
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, LifecycleConfig, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
+use std::path::Path;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn proxy(site: &SkySite) -> FunctionProxy {
-    FunctionProxy::new(
+/// One cache shard snapshotting to `dir` only when asked (the schedule's
+/// hour-long interval never comes due during the test).
+fn proxy(site: &SkySite, dir: &Path) -> ProxyHandle {
+    ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
-            .with_cost(CostModel::free()),
+            .with_cost(CostModel::free())
+            .with_lifecycle(
+                LifecycleConfig::default().with_snapshot(dir, Duration::from_secs(3600)),
+            ),
+        1,
     )
 }
 
@@ -34,7 +42,7 @@ fn warm_restart_preserves_active_caching() {
 
     // Session 1: populate and persist.
     let (big_ids, written) = {
-        let mut p = proxy(&site);
+        let p = proxy(&site, &dir);
         let big = p
             .handle_form("/search/radial", &radial_fields(185.0, 0.5, 25.0))
             .expect("first query");
@@ -49,7 +57,8 @@ fn warm_restart_preserves_active_caching() {
             ],
         )
         .expect("rect query");
-        let written = p.save_cache(&dir).expect("snapshot saves");
+        assert_eq!(p.cache_stats().entries, 2);
+        let written = p.snapshot_now().expect("snapshot saves");
         let k = big.result.column_index("objID").unwrap();
         let ids: Vec<i64> = big
             .result
@@ -59,16 +68,15 @@ fn warm_restart_preserves_active_caching() {
             .collect();
         (ids, written)
     };
-    assert_eq!(written, 2);
+    assert_eq!(written, 1, "one shard file");
 
-    // Session 2: fresh proxy, warm cache.
+    // Session 2: fresh proxy over the same directory, warm cache.
     site.reset_load();
-    let mut p2 = proxy(&site);
-    let load = p2.load_cache(&dir).expect("snapshot loads");
-    assert_eq!(load.loaded, 2);
+    let p2 = proxy(&site, &dir);
+    assert_eq!(p2.runtime_stats().recovered_entries, 2);
     assert_eq!(p2.cache_stats().entries, 2);
 
-    // Exact repeat: served from the restored file, zero origin queries.
+    // Exact repeat: served from the restored entry, zero origin queries.
     let repeat = p2
         .handle_form("/search/radial", &radial_fields(185.0, 0.5, 25.0))
         .expect("repeat");

@@ -4,9 +4,7 @@
 
 use fp_suite::httpd::{HttpClient, HttpServer, Request, Response, Router, Status};
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{
-    CostModel, FunctionProxy, Origin, OriginError, ProxyConfig, ProxyHandle, Scheme,
-};
+use fp_suite::proxy::{CostModel, Origin, OriginError, ProxyConfig, ProxyHandle, Scheme};
 use fp_suite::skyserver::result::QueryOutcome;
 use fp_suite::skyserver::{Catalog, CatalogSpec, ExecStats, ResultSet, SkySite};
 use fp_suite::sqlmini::Query;
@@ -80,7 +78,7 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
     )
     .expect("origin binds");
 
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(HttpOrigin {
             client: HttpClient::new(server.addr()),
@@ -88,6 +86,7 @@ fn proxy_over_http_origin_caches_and_answers_identically() {
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
 
     let fields = |radius: &str| {
@@ -215,7 +214,7 @@ fn byte_serving_matches_row_serving_over_http() {
 
 #[test]
 fn dead_origin_surfaces_as_unavailable() {
-    let mut proxy = FunctionProxy::new(
+    let proxy = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(HttpOrigin {
             // Nothing listens on port 1.
@@ -223,6 +222,7 @@ fn dead_origin_surfaces_as_unavailable() {
                 .with_timeout(std::time::Duration::from_millis(200)),
         }),
         ProxyConfig::default().with_scheme(Scheme::FullSemantic),
+        1,
     );
     let err = proxy
         .handle_form(

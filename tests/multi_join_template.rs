@@ -6,7 +6,7 @@
 //! evaluation of subsumed queries stays exact).
 
 use fp_suite::proxy::template::{InfoFile, RegisteredQueryTemplate, TemplateManager};
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use fp_suite::sqlmini::QueryTemplate;
 use std::sync::Arc;
@@ -57,19 +57,21 @@ fn ids(result: &fp_suite::skyserver::ResultSet) -> Vec<i64> {
 #[test]
 fn spectro_template_caches_through_all_relationship_cases() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = FunctionProxy::new(
+    let p = ProxyHandle::with_shards(
         manager(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
-    let mut oracle = FunctionProxy::new(
+    let oracle = ProxyHandle::with_shards(
         manager(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::NoCache)
             .with_cost(CostModel::free()),
+        1,
     );
 
     // Wide cone: miss, cached. (Spectra are ~15% of objects, so go wide.)
@@ -113,12 +115,13 @@ fn spectro_and_radial_templates_do_not_cross_answer() {
     // result must not answer a radial query (different join → different
     // row set), and vice versa.
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = FunctionProxy::new(
+    let p = ProxyHandle::with_shards(
         manager(),
         Arc::new(SiteOrigin::new(site)),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     );
     let spectro = p
         .handle_form("/search/spectro", &fields(185.0, 0.0, 40.0))

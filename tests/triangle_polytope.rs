@@ -4,17 +4,18 @@
 //! function template at the proxy, caching included.
 
 use fp_suite::proxy::template::TemplateManager;
-use fp_suite::proxy::{CostModel, FunctionProxy, ProxyConfig, Scheme, SiteOrigin};
+use fp_suite::proxy::{CostModel, ProxyConfig, ProxyHandle, Scheme, SiteOrigin};
 use fp_suite::skyserver::{Catalog, CatalogSpec, SkySite};
 use std::sync::Arc;
 
-fn proxy(site: &SkySite) -> FunctionProxy {
-    FunctionProxy::new(
+fn proxy(site: &SkySite) -> ProxyHandle {
+    ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::FullSemantic)
             .with_cost(CostModel::free()),
+        1,
     )
 }
 
@@ -39,7 +40,7 @@ fn ids(result: &fp_suite::skyserver::ResultSet) -> Vec<i64> {
 #[test]
 fn triangle_queries_cache_and_answer_correctly() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site);
 
     // A CCW triangle over the dense stripe.
     let big = [(184.0, -0.5), (186.5, -0.5), (185.2, 1.0)];
@@ -78,12 +79,13 @@ fn triangle_queries_cache_and_answer_correctly() {
         "small triangle's bbox lies inside the big triangle, so the \
          conservative polytope check must prove containment"
     );
-    let mut oracle = FunctionProxy::new(
+    let oracle = ProxyHandle::with_shards(
         TemplateManager::with_sky_defaults(),
         Arc::new(SiteOrigin::new(site.clone())),
         ProxyConfig::default()
             .with_scheme(Scheme::NoCache)
             .with_cost(CostModel::free()),
+        1,
     );
     let truth = oracle
         .handle_form("/search/triangle", &tri_fields(small))
@@ -95,7 +97,7 @@ fn triangle_queries_cache_and_answer_correctly() {
 #[test]
 fn clockwise_triangles_are_rejected_consistently() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site);
     // Clockwise winding: the origin rejects it; the proxy surfaces that.
     let cw = [(184.0, -0.5), (185.2, 1.0), (186.5, -0.5)];
     let r = p.handle_form("/search/triangle", &tri_fields(cw));
@@ -105,7 +107,7 @@ fn clockwise_triangles_are_rejected_consistently() {
 #[test]
 fn disjoint_triangles_do_not_interfere() {
     let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
-    let mut p = proxy(&site);
+    let p = proxy(&site);
     let left = [(181.0, -1.0), (182.5, -1.0), (181.7, 0.5)];
     let right = [(187.0, -1.0), (188.5, -1.0), (187.7, 0.5)];
     let a = p

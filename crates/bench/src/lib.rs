@@ -264,6 +264,7 @@ impl Experiment {
                     &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
+                        .with_description(DescriptionKind::Array)
                         .with_capacity(cap)
                         .with_cost(self.cost)
                         .with_replacement(policy),
@@ -304,6 +305,7 @@ impl Experiment {
                     &self.site,
                     ProxyConfig::default()
                         .with_scheme(Scheme::FullSemantic)
+                        .with_description(DescriptionKind::Array)
                         .with_cost(self.cost)
                         .with_min_overlap_coverage(threshold),
                 );

@@ -937,8 +937,13 @@ impl CacheStore {
         }
         let now = self.now();
         let tier = self.tier.as_ref().expect("checked above");
+        // Records in id order: recovery renumbers entries in record
+        // order, so the restarted store is the same whatever the map's
+        // iteration order.
+        let mut refs: Vec<(u64, SegRef)> = tier.refs.iter().map(|(&id, &seg)| (id, seg)).collect();
+        refs.sort_unstable_by_key(|&(id, _)| id);
         let mut segments = Vec::new();
-        for (&id, &seg) in &tier.refs {
+        for (id, seg) in refs {
             let stamp = if let Some(e) = self.entries.get(&id) {
                 (e.epoch, e.inserted_at, e.expires_at)
             } else if let Some(d) = tier.demoted.get(&id) {
@@ -1716,6 +1721,180 @@ mod tests {
             assert!(s.lookup_exact(sql).is_some(), "{sql} survived bare replay");
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Drives one tiered store per description kind through the same
+    /// seeded sequence: inserts past the RAM budget (demotions), entries
+    /// without a columnar form (evicted, not demoted), same-SQL
+    /// replacements, removes of resident and demoted entries,
+    /// promotions, slab compactions, and warm restarts from the
+    /// metadata snapshot and from a bare slab replay. After every step
+    /// both stores must return the same candidates for a fixed probe
+    /// set, every candidate must be a live entry, and each description
+    /// must index exactly the live entries.
+    #[test]
+    fn descriptions_agree_through_tier_churn_and_restarts() {
+        const KINDS: [DescriptionKind; 2] = [DescriptionKind::Array, DescriptionKind::RTree];
+        let footprint = {
+            let mut probe = CacheStore::new(DescriptionKind::Array, None);
+            let id = probe
+                .insert("k", region(0.0, 10.0), rs_coords(10), false, "A", &coords())
+                .unwrap();
+            probe.peek(id).unwrap().footprint()
+        };
+        let configs: Vec<TierConfig> = KINDS
+            .iter()
+            .map(|kind| {
+                TierConfig::new(tier_dir(&format!("differential_{kind}"))).with_compact_ratio(0.3)
+            })
+            .collect();
+        let open = |kind: DescriptionKind, config: &TierConfig| {
+            let mut s = CacheStore::new(kind, Some(footprint * 4));
+            s.attach_tier(config, 0).unwrap();
+            s
+        };
+        let restart = |stores: &mut Vec<CacheStore>, keep_meta: bool| {
+            for (s, config) in stores.iter_mut().zip(&configs) {
+                s.write_tier_meta().unwrap();
+                if !keep_meta {
+                    std::fs::remove_file(config.meta_path(0)).unwrap();
+                }
+            }
+            stores.clear();
+            for (kind, config) in KINDS.iter().zip(&configs) {
+                let mut s = open(*kind, config);
+                assert_eq!(s.recover_tier().corrupt, 0);
+                stores.push(s);
+            }
+        };
+        let probes: Vec<Region> = (0..24)
+            .map(|i| region(i as f64 * 5.0, i as f64 * 5.0 + 3.0))
+            .collect();
+        let check = |stores: &[CacheStore], step: &str| {
+            let views: Vec<_> = stores
+                .iter()
+                .map(|s| {
+                    let st = s.stats();
+                    assert_eq!(
+                        s.group_len("k"),
+                        st.entries + st.disk_entries,
+                        "{step} ({}): description indexes exactly the live entries",
+                        s.description_kind()
+                    );
+                    let per_probe: Vec<Vec<u64>> = probes
+                        .iter()
+                        .map(|p| {
+                            let mut ids = s.candidates("k", p);
+                            ids.sort_unstable();
+                            for id in &ids {
+                                assert!(
+                                    s.exact_sql_of(*id).is_some(),
+                                    "{step}: stale candidate {id}"
+                                );
+                            }
+                            ids
+                        })
+                        .collect();
+                    (per_probe, s.group_len("k"), st)
+                })
+                .collect();
+            assert_eq!(views[0], views[1], "{step}: array and R-tree disagree");
+        };
+
+        let mut stores: Vec<CacheStore> = KINDS
+            .iter()
+            .zip(&configs)
+            .map(|(k, c)| open(*k, c))
+            .collect();
+        let mut state = 20_240_613u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut sqls: Vec<String> = Vec::new();
+        let mut phases = Vec::new();
+        for step in 0..240 {
+            if step == 90 {
+                phases.push(stores[0].stats());
+                restart(&mut stores, true);
+                check(&stores, "meta restart");
+            }
+            if step == 170 {
+                phases.push(stores[0].stats());
+                restart(&mut stores, false);
+                check(&stores, "bare replay");
+            }
+            let op = next(10);
+            let pick = (!sqls.is_empty()).then(|| sqls[next(sqls.len() as u64) as usize].clone());
+            match (op, pick) {
+                (0..=4, _) | (_, None) => {
+                    // Mostly fresh SQL; now and then a same-SQL replacement.
+                    let sql = match next(5) {
+                        0 if !sqls.is_empty() => sqls[next(sqls.len() as u64) as usize].clone(),
+                        _ => format!("Q{step}"),
+                    };
+                    let lo = next(110) as f64;
+                    let hi = lo + 1.0 + next(8) as f64;
+                    let rows = 5 + next(10) as usize;
+                    for s in stores.iter_mut() {
+                        s.insert("k", region(lo, hi), rs_coords(rows), false, &sql, &coords())
+                            .unwrap();
+                    }
+                    sqls.push(sql);
+                }
+                (5, _) => {
+                    // No columnar form: RAM-or-nothing, evicted when it is the victim.
+                    let lo = next(110) as f64;
+                    let sql = format!("R{step}");
+                    for s in stores.iter_mut() {
+                        s.insert("k", region(lo, lo + 2.0), rs(4), false, &sql, NO_COORDS)
+                            .unwrap();
+                    }
+                    sqls.push(sql);
+                }
+                (6 | 7, Some(sql)) => {
+                    for s in stores.iter_mut() {
+                        if let Some(id) = s.lookup_exact(&sql) {
+                            s.remove(id);
+                        }
+                    }
+                }
+                (8, Some(sql)) => {
+                    for s in stores.iter_mut() {
+                        let Some(id) = s.lookup_exact(&sql) else {
+                            continue;
+                        };
+                        if let Some(slice) = s.disk_slice(id) {
+                            let (result, columnar) = parse_slice(&slice);
+                            assert!(s.promote(id, result, columnar));
+                        }
+                    }
+                }
+                (_, Some(sql)) => {
+                    for s in stores.iter_mut() {
+                        if let Some(id) = s.lookup_exact(&sql) {
+                            s.get(id);
+                        }
+                    }
+                }
+            }
+            check(&stores, &format!("step {step}"));
+        }
+        // Every phase between restarts moved entries through the tier.
+        phases.push(stores[0].stats());
+        for st in &phases {
+            assert!(st.demotions > 0 && st.promotions > 0 && st.evictions > 0);
+        }
+        assert!(
+            phases.iter().any(|st| st.slab_compactions > 0),
+            "churn reached the compaction trigger"
+        );
+        drop(stores);
+        for config in &configs {
+            std::fs::remove_dir_all(&config.dir).unwrap();
+        }
     }
 
     #[test]

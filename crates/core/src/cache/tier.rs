@@ -853,7 +853,10 @@ impl EvictionManager {
         if !self.slab.needs_compact(self.compact_ratio) {
             return Vec::new();
         }
-        let live: Vec<(u64, SegRef)> = self.refs.iter().map(|(&id, &seg)| (id, seg)).collect();
+        // Id (= insertion) order, so the rewritten slab replays the
+        // same way whatever the map's iteration order.
+        let mut live: Vec<(u64, SegRef)> = self.refs.iter().map(|(&id, &seg)| (id, seg)).collect();
+        live.sort_unstable_by_key(|&(id, _)| id);
         match self.slab.compact(&live) {
             Ok((new_refs, _dropped)) => {
                 let relocated: HashMap<u64, SegRef> = new_refs.into_iter().collect();

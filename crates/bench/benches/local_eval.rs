@@ -7,7 +7,9 @@
 //!   *bytes* (the quantity a client actually waits on)?
 //! * `micro_index` — where is the flat/zones/grid crossover? (The
 //!   constants in `fp_skyserver::columnar` encode the answer.)
-//! * `build` — what does the columnar form cost at insert time?
+//! * `build` — what does the columnar form cost at insert time, and
+//!   what does landing a miss cost (`miss_land`: the form, the charged
+//!   size read off it, and the response body copied out of it)?
 //!
 //! The run ends with a headline `speedup:` line measuring the end-to-end
 //! serve ratio at 10 000 rows — the PR-acceptance number.
@@ -155,6 +157,15 @@ fn bench_build(c: &mut Criterion) {
         let rs = entry(rows, 13);
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |b, _| {
             b.iter(|| ColumnarRows::build(&rs, &COORD_IDX).unwrap())
+        });
+    }
+    for rows in [10, 100, 1_000] {
+        let rs = entry(rows, 17);
+        group.bench_with_input(BenchmarkId::new("miss_land", rows), &rows, |b, _| {
+            b.iter(|| {
+                let col = ColumnarRows::build(black_box(&rs), &COORD_IDX).unwrap();
+                (col.document_len(), col.full_document())
+            })
         });
     }
     group.finish();

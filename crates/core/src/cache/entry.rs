@@ -61,6 +61,20 @@ pub(crate) fn charged_bytes(bytes: usize, columnar: Option<&ColumnarRows>) -> us
     bytes + columnar.map_or(0, ColumnarRows::heap_bytes)
 }
 
+/// Builds a result's columnar form — the one XML serialization of its
+/// rows, which also answers its exact hits — and reads the XML size off
+/// it. Only a result without a columnar form (no coordinate columns, or
+/// a non-numeric coordinate cell) has its XML counted separately.
+pub(crate) fn prebuild(
+    result: &ResultSet,
+    coord_idx: &[usize],
+) -> (usize, Option<Arc<ColumnarRows>>) {
+    match ColumnarRows::build(result, coord_idx) {
+        Some(col) => (col.document_len(), Some(Arc::new(col))),
+        None => (result.xml_bytes(), None),
+    }
+}
+
 impl CacheEntry {
     /// Bytes charged against the cache capacity: the XML size plus the
     /// columnar form's heap (the store charges through the same function).

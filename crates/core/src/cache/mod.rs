@@ -9,6 +9,7 @@ mod store;
 mod tier;
 
 pub use description::{ArrayDescription, CacheDescription, DescriptionKind, RTreeDescription};
+pub(crate) use entry::prebuild;
 pub use entry::CacheEntry;
 pub(crate) use persist::{entry_from_xml, entry_to_xml};
 pub use persist::{region_from_xml, region_to_xml};

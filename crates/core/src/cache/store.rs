@@ -1,7 +1,7 @@
 //! The size-bounded result store with LRU replacement.
 
 use crate::cache::description::{CacheDescription, DescriptionKind};
-use crate::cache::entry::{charged_bytes, CacheEntry};
+use crate::cache::entry::{charged_bytes, prebuild, CacheEntry};
 use crate::cache::persist::{entry_from_xml, entry_to_xml};
 use crate::cache::replace::{policy_key, select_victim, EntryCost, Replacement};
 use crate::cache::tier::{
@@ -369,8 +369,7 @@ impl CacheStore {
         coord_idx: &[usize],
     ) -> Option<u64> {
         let result: Arc<ResultSet> = result.into();
-        let bytes = result.xml_bytes();
-        let columnar = ColumnarRows::build(&result, coord_idx).map(Arc::new);
+        let (bytes, columnar) = prebuild(&result, coord_idx);
         self.insert_prebuilt(
             residual_key,
             region,
@@ -740,7 +739,10 @@ impl CacheStore {
         let Some(d) = self.tier.as_mut().and_then(|t| t.demoted.remove(&id)) else {
             return false;
         };
-        let bytes = result.xml_bytes();
+        // The demoted entry kept its charged size; the promoted result is
+        // the same document parsed back, so no re-serialization is needed.
+        let bytes = d.bytes;
+        debug_assert_eq!(bytes, result.xml_bytes());
         let footprint = charged_bytes(bytes, columnar.as_deref());
         let entry = CacheEntry {
             id,
@@ -1100,7 +1102,8 @@ impl CacheStore {
             return false;
         }
         let result: Arc<ResultSet> = Arc::new(result);
-        let Some(col) = ColumnarRows::build(&result, &coord_idx) else {
+        let (bytes, columnar) = prebuild(&result, &coord_idx);
+        let Some(col) = columnar else {
             // No skeleton to serve rows from disk with: restore the
             // entry RAM-resident through the stamped insert path.
             match self.insert_restored(
@@ -1172,9 +1175,9 @@ impl CacheStore {
             residual_key: Arc::clone(&residual_key),
             region,
             bbox: bbox.clone(),
-            skeleton: Arc::new(col.skeleton()),
+            skeleton: Arc::new(Arc::unwrap_or_clone(col).into_skeleton()),
             rows: result.len(),
-            bytes: result.xml_bytes(),
+            bytes,
             truncated,
             exact_sql: Arc::clone(&exact_sql),
             epoch: stamp.epoch,

@@ -36,7 +36,8 @@
 //! rejections and true disjoint misses surface the error.
 
 use crate::cache::{
-    entry_from_xml, entry_to_xml, CacheStats, CacheStore, ProfitEstimate, ProfitModel, SlabSlice,
+    entry_from_xml, entry_to_xml, prebuild, CacheStats, CacheStore, ProfitEstimate, ProfitModel,
+    SlabSlice,
 };
 use crate::config::{ProxyConfig, SchemeChoice};
 use crate::lifecycle::snapshot::{read_snapshot_file, write_snapshot_file};
@@ -196,6 +197,11 @@ pub struct ProxyResponse {
     pub result: Arc<ResultSet>,
     /// The per-query metrics the proxy servlet logs.
     pub metrics: QueryMetrics,
+    /// The columnar form built from exactly `result` (a fetched miss, or
+    /// the exact entry that served it), when one exists: its row slab is
+    /// the serialized answer, so byte serving copies it instead of
+    /// serializing `result` again.
+    pub(crate) columnar: Option<Arc<ColumnarRows>>,
 }
 
 /// A response served as pre-assembled XML bytes. On the columnar hot
@@ -844,12 +850,17 @@ impl ProxyHandle {
         }
     }
 
-    /// Serializes a row response into response bytes, timing the
-    /// serialization into the observe layer (the non-columnar paths —
-    /// the columnar hot paths time their slab assembly at the site).
+    /// Turns a row response into response bytes, timing the work into
+    /// the observe layer (the columnar hot paths time their slab
+    /// assembly at the site). A response that carries its columnar form
+    /// copies the form's document; only one without a form serializes
+    /// its rows.
     fn xml_from_rows(&self, response: ProxyResponse) -> XmlResponse {
         let ser_start = Instant::now();
-        let body = response.result.to_xml_string().into_bytes();
+        let body = match response.columnar.as_deref() {
+            Some(col) => col.full_document(),
+            None => response.result.to_xml_string().into_bytes(),
+        };
         let path = if matches!(
             response.metrics.outcome,
             Outcome::Exact | Outcome::Contained
@@ -1264,13 +1275,14 @@ impl ProxyHandle {
         match self.cache_phase_locked(bound, scheme, timing) {
             LockedPhase::Exact {
                 result,
+                columnar,
                 sim_ms,
                 life,
-                ..
             } => {
                 let cached = result.len();
                 let mut response =
                     self.respond(result, Outcome::Exact, cached, sim_ms, timing, coalesced);
+                response.columnar = columnar;
                 self.apply_life(&mut response.metrics, &life, true);
                 Phase::Served(response)
             }
@@ -1512,6 +1524,7 @@ impl ProxyHandle {
                 timing,
                 coalesced,
             );
+            response.columnar = columnar;
             response.metrics.disk_hit = true;
             self.apply_life(&mut response.metrics, &plan.life, true);
             Phase::Served(response)
@@ -1996,12 +2009,13 @@ impl ProxyHandle {
         };
         let result = Arc::new(result);
 
-        // The expensive halves of an insert — serialized size and the
-        // columnar form (row slab, micro-index) — are prebuilt here,
-        // off-lock, so the locked window below is just map updates.
-        // Building them under the shard lock made every miss landing
-        // serialize the shard's concurrent hits: the 8-thread hit p99
-        // sat three orders of magnitude above single-thread.
+        // The expensive part of an insert — the columnar form (row slab,
+        // micro-index), whose slab also gives the charged size and the
+        // response body — is prebuilt here, off-lock, so the locked
+        // window below is just map updates. Building it under the shard
+        // lock made every miss landing serialize the shard's concurrent
+        // hits: the 8-thread hit p99 sat three orders of magnitude above
+        // single-thread.
         let prebuilt = if scheme.caches() {
             let build_start = Instant::now();
             let coord_idx: Option<Vec<usize>> = bound
@@ -2010,14 +2024,13 @@ impl ProxyHandle {
                 .iter()
                 .map(|c| result.column_index(c))
                 .collect();
-            let bytes = result.xml_bytes();
-            let columnar =
-                ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[])).map(Arc::new);
+            let prebuilt = prebuild(&result, coord_idx.as_deref().unwrap_or(&[]));
             timing.local_ms += ms_since(build_start);
-            Some((bytes, columnar))
+            Some(prebuilt)
         } else {
             None
         };
+        let columnar = prebuilt.as_ref().and_then(|(_, col)| col.clone());
 
         {
             let (mut store, wait) = self.inner.store.lock(&bound.residual_key);
@@ -2052,6 +2065,7 @@ impl ProxyHandle {
             timing,
             false,
         );
+        response.columnar = columnar;
         response.metrics.rows_scanned = rows_scanned;
         response.metrics.rows_pruned = rows_pruned;
         response.metrics.local_fallback = plan.local_fallback;
@@ -2084,6 +2098,7 @@ impl ProxyHandle {
         ProxyResponse {
             result: leader.result,
             metrics,
+            columnar: leader.columnar,
         }
     }
 
@@ -2331,10 +2346,7 @@ impl ProxyHandle {
                         .iter()
                         .map(|c| result.column_index(c))
                         .collect();
-                    let bytes = result.xml_bytes();
-                    let columnar =
-                        ColumnarRows::build(&result, coord_idx.as_deref().unwrap_or(&[]))
-                            .map(Arc::new);
+                    let (bytes, columnar) = prebuild(&result, coord_idx.as_deref().unwrap_or(&[]));
                     let (mut store, _) = self.inner.store.lock(&bound.residual_key);
                     store.insert_prebuilt(
                         &bound.residual_key,
@@ -2386,7 +2398,11 @@ impl ProxyHandle {
             timing,
             coalesced,
         );
-        ProxyResponse { result, metrics }
+        ProxyResponse {
+            result,
+            metrics,
+            columnar: None,
+        }
     }
 
     fn metrics_for(
@@ -3132,6 +3148,114 @@ mod tests {
         assert!(r.metrics.sim_ms > 0.0);
         let again = radial(&h, 185.0, 0.0, 20.0);
         assert_eq!(again.metrics.outcome, Outcome::Exact);
+    }
+
+    /// Every miss path answers with its columnar form's document when it
+    /// has one, and every inserted entry is charged its result's XML
+    /// size: byte serving must equal serializing the row answer of an
+    /// identical twin handle, case by case.
+    #[test]
+    fn miss_bodies_and_charged_sizes_match_the_row_answer() {
+        let manager = || {
+            let mut m = TemplateManager::with_sky_defaults();
+            let top = fp_sqlmini::QueryTemplate::parse(
+                "radial_top",
+                "SELECT TOP 5 p.objID, p.ra, p.dec, p.cx, p.cy, p.cz \
+                 FROM fGetNearbyObjEq($ra, $dec, $radius) n \
+                 JOIN PhotoPrimary p ON n.objID = p.objID",
+            )
+            .unwrap();
+            m.register_query(
+                crate::template::RegisteredQueryTemplate::new(
+                    top,
+                    vec!["cx".into(), "cy".into(), "cz".into()],
+                    "p",
+                    "objID",
+                )
+                .unwrap(),
+            )
+            .unwrap();
+            m
+        };
+        let twin = || {
+            let site = SkySite::new(Catalog::generate(&CatalogSpec::small_test()));
+            ProxyHandle::with_shards(
+                manager(),
+                Arc::new(SiteOrigin::new(site)),
+                ProxyConfig::default()
+                    .with_scheme(Scheme::FullSemantic)
+                    .with_cost(CostModel::free()),
+                1,
+            )
+        };
+        let (bytes, rows) = (twin(), twin());
+        let form = |ra: f64, dec: f64, radius: f64| {
+            [("ra", ra), ("dec", dec), ("radius", radius)]
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+        };
+        let top_sql = "SELECT TOP 5 p.objID, p.ra, p.dec, p.cx, p.cy, p.cz \
+                       FROM fGetNearbyObjEq(185.0, 0.0, 30.0) n \
+                       JOIN PhotoPrimary p ON n.objID = p.objID";
+        let raw_sql = "SELECT p.objID, p.r FROM fGetNearbyObjEq(185.0, 0.0, 20.0) n \
+                       JOIN PhotoPrimary p ON n.objID = p.objID WHERE p.r < 19.0";
+        enum Req {
+            Form(f64, f64, f64),
+            Sql(&'static str),
+        }
+        let cases = [
+            (Req::Form(185.0, 0.0, 20.0), Outcome::Forwarded),
+            (Req::Sql(top_sql), Outcome::Forwarded),
+            (Req::Form(185.0 + 25.0 / 60.0, 0.0, 15.0), Outcome::Overlap),
+            (Req::Form(186.0 - 10.0 / 60.0, 0.0, 8.0), Outcome::Forwarded),
+            (Req::Form(186.0 + 10.0 / 60.0, 0.0, 8.0), Outcome::Forwarded),
+            (Req::Form(186.0, 0.0, 40.0), Outcome::RegionContainment),
+            (Req::Sql(raw_sql), Outcome::Forwarded),
+        ];
+        for (req, outcome) in &cases {
+            let (body, answer) = match *req {
+                Req::Form(ra, dec, radius) => (
+                    bytes
+                        .handle_form_xml("/search/radial", &form(ra, dec, radius))
+                        .unwrap(),
+                    rows.handle_form("/search/radial", &form(ra, dec, radius))
+                        .unwrap(),
+                ),
+                Req::Sql(sql) => (
+                    bytes.handle_sql_xml(sql).unwrap(),
+                    rows.handle_sql(sql).unwrap(),
+                ),
+            };
+            assert_eq!(body.metrics.outcome, *outcome);
+            assert_eq!(answer.metrics.outcome, *outcome);
+            assert_eq!(body.body, answer.result.to_xml_string().into_bytes());
+        }
+        assert_eq!(bytes.cache_stats().compactions, 2);
+        assert_eq!(
+            bytes.handle_sql(top_sql).unwrap().result.len(),
+            5,
+            "the TOP entry is cached, clipped"
+        );
+
+        // A coalesced exact follower adopts the leader's response, form
+        // included, and answers with the leader's document.
+        let leader = bytes
+            .handle_form("/search/radial", &form(190.0, 1.0, 12.0))
+            .unwrap();
+        assert_eq!(leader.metrics.outcome, Outcome::Forwarded);
+        assert!(leader.columnar.is_some());
+        let follower = bytes.adopt(leader.clone(), &Timing::begin());
+        assert!(follower.metrics.coalesced);
+        assert!(follower.columnar.is_some(), "adopt keeps the form");
+        assert_eq!(
+            bytes.xml_from_rows(follower).body,
+            leader.result.to_xml_string().into_bytes()
+        );
+
+        let store = bytes.inner.store.lock_shard(0);
+        assert_eq!(store.iter_entries().count(), 5);
+        for entry in store.iter_entries() {
+            assert_eq!(entry.bytes, entry.result.xml_bytes(), "{}", entry.exact_sql);
+        }
     }
 
     #[test]

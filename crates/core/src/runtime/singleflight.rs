@@ -339,6 +339,7 @@ mod tests {
                 entry_age_ms: 0.0,
                 disk_hit: false,
             },
+            columnar: None,
         }
     }
 

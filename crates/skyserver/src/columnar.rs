@@ -30,6 +30,7 @@ use crate::result::ResultSet;
 use fp_geometry::Region;
 use fp_sqlmini::Value;
 use fp_xmlite::escape_text;
+use std::io::{self, Write};
 
 /// Closing tag shared by every assembled document.
 pub const FOOTER: &[u8] = b"</ResultSet>";
@@ -165,7 +166,7 @@ impl ColumnarRows {
         let mut spans = Vec::with_capacity(rows);
         for row in &rs.rows {
             let start = slab.len();
-            write_row_xml(row, &mut slab);
+            write_row_xml(row, &mut slab).expect("writing to a Vec cannot fail");
             spans.push((start as u32, (slab.len() - start) as u32));
         }
 
@@ -198,6 +199,18 @@ impl ColumnarRows {
     /// Whether the entry has no rows.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// Length in bytes of the whole entry's XML document (header, row
+    /// slab, footer) — equal to [`ResultSet::xml_bytes`] of the result
+    /// this form was built from, without serializing anything. Read from
+    /// the spans, so a [`Self::skeleton`] reports the same length.
+    pub fn document_len(&self) -> usize {
+        let body = self
+            .spans
+            .last()
+            .map_or(0, |&(off, len)| off as usize + len as usize);
+        self.header.len() + body + FOOTER.len()
     }
 
     /// Which micro-index variant was built.
@@ -385,6 +398,15 @@ impl ColumnarRows {
         }
     }
 
+    /// [`Self::skeleton`] by value: moves the columns, spans, header and
+    /// micro-index instead of cloning them, and drops the slab.
+    pub fn into_skeleton(self) -> ColumnarRows {
+        ColumnarRows {
+            slab: Vec::new(),
+            ..self
+        }
+    }
+
     /// Materializes the selected rows as a row-major result (for callers
     /// that need `Value`s — the simulation replay path; the HTTP path
     /// uses [`Self::assemble_document`] instead).
@@ -494,54 +516,83 @@ fn build_grid(cols: &[Vec<f64>], rows: usize) -> MicroIndex {
 /// `<ResultSet><Columns><C>…</C>…</Columns>`.
 fn document_header(columns: &[String]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + columns.len() * 12);
-    out.extend_from_slice(b"<ResultSet>");
-    if columns.is_empty() {
-        out.extend_from_slice(b"<Columns/>");
-    } else {
-        out.extend_from_slice(b"<Columns>");
-        for c in columns {
-            out.extend_from_slice(b"<C>");
-            out.extend_from_slice(escape_text(c).as_bytes());
-            out.extend_from_slice(b"</C>");
-        }
-        out.extend_from_slice(b"</Columns>");
-    }
+    write_header(columns, &mut out).expect("writing to a Vec cannot fail");
     out
+}
+
+fn write_header<W: Write>(columns: &[String], out: &mut W) -> io::Result<()> {
+    out.write_all(b"<ResultSet>")?;
+    if columns.is_empty() {
+        return out.write_all(b"<Columns/>");
+    }
+    out.write_all(b"<Columns>")?;
+    for c in columns {
+        out.write_all(b"<C>")?;
+        out.write_all(escape_text(c).as_bytes())?;
+        out.write_all(b"</C>")?;
+    }
+    out.write_all(b"</Columns>")
 }
 
 /// Serializes one `<Row>…</Row>` fragment, byte-identical to the
 /// [`fp_xmlite::Element`] tree built by [`ResultSet::to_xml`] (pinned by
 /// tests; note a non-null empty string still yields `<V></V>`, because
-/// the tree form carries an empty text node).
-pub(crate) fn write_row_xml(row: &[Value], out: &mut Vec<u8>) {
+/// the tree form carries an empty text node). Only `Str` cells go
+/// through the escaper: the `Display` text of a number or boolean holds
+/// no character XML escapes, so it is formatted straight into `out`.
+fn write_row_xml<W: Write>(row: &[Value], out: &mut W) -> io::Result<()> {
     if row.is_empty() {
-        out.extend_from_slice(b"<Row/>");
-        return;
+        return out.write_all(b"<Row/>");
     }
-    out.extend_from_slice(b"<Row>");
+    out.write_all(b"<Row>")?;
     for v in row {
         match v {
-            Value::Null => out.extend_from_slice(b"<V null=\"1\"/>"),
-            other => {
-                out.extend_from_slice(b"<V>");
-                out.extend_from_slice(escape_text(&other.to_string()).as_bytes());
-                out.extend_from_slice(b"</V>");
+            Value::Null => out.write_all(b"<V null=\"1\"/>")?,
+            Value::Str(s) => {
+                out.write_all(b"<V>")?;
+                out.write_all(escape_text(s).as_bytes())?;
+                out.write_all(b"</V>")?;
             }
+            number_or_bool => write!(out, "<V>{number_or_bool}</V>")?,
         }
     }
-    out.extend_from_slice(b"</Row>");
+    out.write_all(b"</Row>")
+}
+
+fn write_document<W: Write>(rs: &ResultSet, out: &mut W) -> io::Result<()> {
+    write_header(&rs.columns, out)?;
+    for row in &rs.rows {
+        write_row_xml(row, out)?;
+    }
+    out.write_all(FOOTER)
 }
 
 /// Serializes the whole result document directly into bytes —
 /// byte-identical to `rs.to_xml().to_xml()` without building the element
-/// tree. This is the non-hit serving path and the byte-accounting path.
+/// tree. This is the serving path for results without a columnar form.
 pub fn result_to_xml_bytes(rs: &ResultSet) -> Vec<u8> {
-    let mut out = document_header(&rs.columns);
-    for row in &rs.rows {
-        write_row_xml(row, &mut out);
-    }
-    out.extend_from_slice(FOOTER);
+    let mut out = Vec::new();
+    write_document(rs, &mut out).expect("writing to a Vec cannot fail");
     out
+}
+
+/// `result_to_xml_bytes(rs).len()`, counted without building the
+/// document.
+pub(crate) fn result_xml_len(rs: &ResultSet) -> usize {
+    /// A sink that keeps only the number of bytes written to it.
+    struct ByteCount(usize);
+    impl Write for ByteCount {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 += buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut count = ByteCount(0);
+    write_document(rs, &mut count).expect("counting bytes cannot fail");
+    count.0
 }
 
 #[cfg(test)]
@@ -675,6 +726,7 @@ mod tests {
             base.to_xml().to_xml()
         );
         assert_eq!(result_to_xml_bytes(&base), c.full_document());
+        assert_eq!(c.document_len(), base.xml_bytes());
 
         // A selection == Element-tree serialization of the filtered set.
         let picked = [0u32, 2];
@@ -697,6 +749,10 @@ mod tests {
             String::from_utf8(result_to_xml_bytes(&no_columns)).unwrap(),
             no_columns.to_xml().to_xml()
         );
+        // A row-less entry's document is its header and footer alone.
+        let c = ColumnarRows::build(&empty, &[0]).unwrap();
+        assert_eq!(c.document_len(), empty.xml_bytes());
+        assert_eq!(c.full_document(), result_to_xml_bytes(&empty));
     }
 
     #[test]
@@ -718,6 +774,18 @@ mod tests {
         sk.select_region(&rect(0.4, 0.6), &mut out, &mut scratch);
         assert!(!out.is_empty());
         assert!(sk.heap_bytes() < c.heap_bytes());
+        // Both skeletons still know the document's length.
+        assert_eq!(c.document_len(), base.xml_bytes());
+        assert_eq!(sk.document_len(), base.xml_bytes());
+        // The consuming skeleton is the same skeleton, moved not cloned.
+        let moved = c.clone().into_skeleton();
+        assert!(moved.slab().is_empty());
+        assert_eq!(moved.heap_bytes(), sk.heap_bytes());
+        assert_eq!(moved.document_len(), base.xml_bytes());
+        assert_eq!(
+            moved.assemble_document_with(&slab, &picked),
+            c.assemble_document(&picked)
+        );
     }
 
     #[test]

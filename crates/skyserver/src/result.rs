@@ -38,9 +38,10 @@ impl ResultSet {
 
     /// Serialized size in bytes of the XML document form — the unit the
     /// proxy's cache-size accounting uses (the paper stores results as XML
-    /// files and bounds the cache by their total size).
+    /// files and bounds the cache by their total size). Counted through a
+    /// byte-counting sink: no document is built.
     pub fn xml_bytes(&self) -> usize {
-        self.to_xml_string().len()
+        crate::columnar::result_xml_len(self)
     }
 
     /// Serializes the XML document form directly into a string without

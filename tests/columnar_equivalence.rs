@@ -23,13 +23,32 @@ fn arb_coord() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// Payload cells exercise every serialization case: ints, floats,
-/// strings needing XML escaping, empty strings, and nulls.
+/// Payload cells exercise every case the row writer branches on:
+/// integers up to the `i64` extremes; floats of every magnitude,
+/// including signed zero, both sides of the `{:.1}`/shortest-form
+/// boundary at 1e15, infinities, NaN and a subnormal; booleans;
+/// strings that need XML escaping, non-ASCII and empty strings; nulls.
 fn arb_payload() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-1000i64..1000).prop_map(Value::Int),
+        Just(Value::Int(i64::MIN)),
+        Just(Value::Int(i64::MAX)),
         (-1.0f64..1.0).prop_map(Value::Float),
+        any::<f64>().prop_map(Value::Float),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(1e15 - 1.0)),
+        Just(Value::Float(1e15)),
+        Just(Value::Float(-1e15)),
+        Just(Value::Float(1e16)),
+        Just(Value::Float(f64::INFINITY)),
+        Just(Value::Float(f64::NEG_INFINITY)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(f64::MIN_POSITIVE / 4.0)),
+        any::<bool>().prop_map(Value::Bool),
         Just(Value::Str("a<b&\"c\">'d'".to_string())),
+        Just(Value::Str("ω café ☃ 中".to_string())),
+        prop::collection::vec(any::<char>(), 0..8)
+            .prop_map(|cs| Value::Str(cs.into_iter().collect())),
         Just(Value::Str(String::new())),
         Just(Value::Null),
     ]
@@ -101,10 +120,14 @@ proptest! {
         prop_assert!(fast.stats.rows_scanned >= fast.stats.rows_selected);
     }
 
-    /// The pre-serialized slab assembles the same bytes the tree
-    /// serializer produces, for any selected subset.
+    /// The pre-serialized slab assembles the same bytes the `Element`
+    /// tree serializer produces, for any selected subset; the direct
+    /// writer and the charged size agree with it too.
     #[test]
     fn assembled_bytes_match_tree_serializer(rs in arb_result(), region in arb_region()) {
+        let tree = rs.to_xml().to_xml().into_bytes();
+        prop_assert_eq!(rs.to_xml_string().into_bytes(), tree.clone());
+        prop_assert_eq!(rs.xml_bytes(), tree.len());
         let Some(columnar) = ColumnarRows::build(&rs, &COORD_IDX) else { return Ok(()) };
         let mut selected = Vec::new();
         let mut point = Vec::new();
@@ -112,11 +135,13 @@ proptest! {
         let subset = columnar.materialize(&rs, &selected);
         prop_assert_eq!(
             columnar.assemble_document(&selected),
-            subset.to_xml_string().into_bytes(),
+            subset.to_xml().to_xml().into_bytes(),
             "span assembly must be byte-identical to serialization"
         );
-        // The full document too (the exact-hit serving path).
-        prop_assert_eq!(columnar.full_document(), rs.to_xml_string().into_bytes());
+        // The full document too (the exact-hit and miss serving path),
+        // and the size read off the form (the charged size).
+        prop_assert_eq!(columnar.document_len(), tree.len());
+        prop_assert_eq!(columnar.full_document(), tree);
     }
 
     /// NaN coordinates are numeric (no fallback) but never selected.
